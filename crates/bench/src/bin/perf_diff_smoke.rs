@@ -125,26 +125,30 @@ fn main() -> ExitCode {
         let k = graph
             .add_codelet(Codelet::new("k").with_variant(Variant::new("gpu").requiring("Cuda")));
         let handle = graph.register_data("A", 600e6);
-        graph.submit(
-            k,
-            "produce",
-            1e10,
-            vec![DataAccess {
-                handle,
-                mode: AccessMode::Write,
-            }],
-            None,
-        );
-        graph.submit(
-            k,
-            "consume",
-            1e10,
-            vec![DataAccess {
-                handle,
-                mode: AccessMode::Read,
-            }],
-            None,
-        );
+        graph
+            .submit(
+                k,
+                "produce",
+                1e10,
+                vec![DataAccess {
+                    handle,
+                    mode: AccessMode::Write,
+                }],
+                None,
+            )
+            .expect("the codelet and handle are registered above");
+        graph
+            .submit(
+                k,
+                "consume",
+                1e10,
+                vec![DataAccess {
+                    handle,
+                    mode: AccessMode::Read,
+                }],
+                None,
+            )
+            .expect("the codelet and handle are registered above");
         let report = simulate(
             &graph,
             &machine,

@@ -187,26 +187,30 @@ fn main() -> ExitCode {
         Codelet::new("k").with_variant(hetero_rt::task::Variant::new("gpu").requiring("Cuda")),
     );
     let handle = pipeline_graph.register_data("A", 600e6);
-    pipeline_graph.submit(
-        k,
-        "produce",
-        1e10,
-        vec![DataAccess {
-            handle,
-            mode: AccessMode::Write,
-        }],
-        None,
-    );
-    pipeline_graph.submit(
-        k,
-        "consume",
-        1e10,
-        vec![DataAccess {
-            handle,
-            mode: AccessMode::Read,
-        }],
-        None,
-    );
+    pipeline_graph
+        .submit(
+            k,
+            "produce",
+            1e10,
+            vec![DataAccess {
+                handle,
+                mode: AccessMode::Write,
+            }],
+            None,
+        )
+        .expect("the codelet and handle are registered above");
+    pipeline_graph
+        .submit(
+            k,
+            "consume",
+            1e10,
+            vec![DataAccess {
+                handle,
+                mode: AccessMode::Read,
+            }],
+            None,
+        )
+        .expect("the codelet and handle are registered above");
     let sim = simulate(
         &pipeline_graph,
         &machine,

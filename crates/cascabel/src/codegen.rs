@@ -382,18 +382,20 @@ fn build_graph_for_call(
                             mode: mode_of(i),
                         }
                     })
-                    .collect();
-                graph.submit(
-                    c,
-                    if chunks == 1 {
-                        format!("{other}@L{}", call.line)
-                    } else {
-                        format!("{other}@L{}[{chunk}]", call.line)
-                    },
-                    flops / chunks as f64,
-                    accesses,
-                    group.clone(),
-                );
+                    .collect::<Vec<_>>();
+                graph
+                    .submit(
+                        c,
+                        if chunks == 1 {
+                            format!("{other}@L{}", call.line)
+                        } else {
+                            format!("{other}@L{}[{chunk}]", call.line)
+                        },
+                        flops / chunks as f64,
+                        accesses,
+                        group.as_deref(),
+                    )
+                    .expect("the codelet and handles were registered just above");
             }
         }
     }
@@ -412,22 +414,26 @@ fn absorb(graph: &mut TaskGraph, sub: TaskGraph) {
         let meta = sub.data.meta(hetero_rt::data::HandleId(i));
         handle_map.push(graph.register_data(meta.label.clone(), meta.size_bytes));
     }
+    let mut accesses = Vec::new();
     for t in &sub.tasks {
-        let accesses = t
-            .accesses
-            .iter()
-            .map(|a| hetero_rt::task::DataAccess {
-                handle: handle_map[a.handle.0],
-                mode: a.mode,
-            })
-            .collect();
-        graph.submit(
-            codelet_base[t.codelet],
-            t.label.clone(),
-            t.flops,
-            accesses,
-            t.execution_group.clone(),
+        accesses.clear();
+        accesses.extend(
+            sub.accesses(t.id)
+                .iter()
+                .map(|a| hetero_rt::task::DataAccess {
+                    handle: handle_map[a.handle.0],
+                    mode: a.mode,
+                }),
         );
+        graph
+            .submit(
+                codelet_base[t.codelet],
+                sub.label(t.id),
+                t.flops,
+                &accesses,
+                sub.execution_group(t.id),
+            )
+            .expect("every codelet and handle of `sub` is remapped into `graph`");
     }
 }
 
@@ -528,7 +534,7 @@ custom(X);
         let out = translate(src, &p, &spec);
         assert_eq!(out.graph.len(), 1);
         assert_eq!(out.graph.tasks[0].flops, 5e9);
-        assert_eq!(out.graph.tasks[0].accesses.len(), 1);
+        assert_eq!(out.graph.accesses(hetero_rt::task::TaskId(0)).len(), 1);
     }
 
     #[test]

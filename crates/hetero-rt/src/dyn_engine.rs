@@ -17,11 +17,12 @@
 //! the same graphs, machines, coherence and cost models are used — which is
 //! exactly what the list-vs-online ablation isolates.
 
-use crate::data::{DataRegistry, HandleId};
+use crate::data::DataRegistry;
 use crate::graph::TaskGraph;
 use crate::scheduler::{ScheduleContext, Scheduler};
 use crate::sim_engine::{
-    publish_sim_telemetry, run_plan_on_links, LinkUse, RtError, SimOptions, SimReport,
+    publish_sim_telemetry, run_plan_on_links, written_handles, LinkUse, RtError, SimOptions,
+    SimReport,
 };
 use crate::task::TaskId;
 use simhw::energy::energy;
@@ -30,7 +31,6 @@ use simhw::machine::{DeviceId, SimMachine};
 use simhw::resource::{BucketedTimeline, Timeline};
 use simhw::time::{Duration, SimTime};
 use simhw::trace::{SpanKind, Trace};
-use std::collections::BTreeMap;
 
 /// A ready-pool entry ordered for dispatch: higher priority first, then
 /// submission order (StarPU-style). `BinaryHeap` is a max-heap, so `Ord`
@@ -76,22 +76,20 @@ fn variant_table(graph: &TaskGraph, machine: &SimMachine) -> Vec<Vec<Option<f64>
         .collect()
 }
 
-/// Per-execution-group device eligibility, precomputed for every distinct
-/// group name the graph mentions.
-fn group_table<'g>(graph: &'g TaskGraph, machine: &SimMachine) -> BTreeMap<&'g str, Vec<bool>> {
-    let mut table: BTreeMap<&str, Vec<bool>> = BTreeMap::new();
-    for task in &graph.tasks {
-        if let Some(g) = task.execution_group.as_deref() {
-            table.entry(g).or_insert_with(|| {
-                machine
-                    .devices
-                    .iter()
-                    .map(|d| d.groups.iter().any(|dg| dg == g))
-                    .collect()
-            });
-        }
-    }
-    table
+/// Per-execution-group device eligibility, indexed by the graph's interned
+/// group id.
+fn group_table(graph: &TaskGraph, machine: &SimMachine) -> Vec<Vec<bool>> {
+    graph
+        .groups()
+        .iter()
+        .map(|g| {
+            machine
+                .devices
+                .iter()
+                .map(|d| d.groups.iter().any(|dg| dg == g))
+                .collect()
+        })
+        .collect()
 }
 
 /// Simulates the graph with online (event-driven) scheduling.
@@ -122,7 +120,7 @@ pub fn simulate_dynamic(
         vec![BucketedTimeline::default(); machine.links.len()];
     let mut link_use: Vec<LinkUse> = vec![LinkUse::default(); machine.links.len()];
     let mut link_trace = Trace::new();
-    let mut handle_ready: BTreeMap<HandleId, SimTime> = BTreeMap::new();
+    let mut handle_ready: Vec<SimTime> = vec![SimTime::ZERO; data.len()];
 
     // Dispatch tables: variant speedups and group eligibility resolved
     // once, so the hot loop never touches strings.
@@ -130,11 +128,7 @@ pub fn simulate_dynamic(
     let groups = group_table(graph, machine);
     let eligible = |task_idx: usize, dev: usize| -> bool {
         let task = &graph.tasks[task_idx];
-        variants[task.codelet][dev].is_some()
-            && task
-                .execution_group
-                .as_deref()
-                .is_none_or(|g| groups[g][dev])
+        variants[task.codelet][dev].is_some() && task.group.is_none_or(|g| groups[g][dev])
     };
 
     // Readiness bookkeeping: a max-heap keyed (priority desc, submission
@@ -168,7 +162,7 @@ pub fn simulate_dynamic(
             return Err(RtError::NoEligibleDevice {
                 task: TaskId(t),
                 codelet: graph.codelets[task.codelet].name.clone(),
-                execution_group: task.execution_group.clone(),
+                execution_group: graph.execution_group(TaskId(t)).map(str::to_owned),
             });
         }
     }
@@ -192,6 +186,8 @@ pub fn simulate_dynamic(
             let tid = TaskId(key.id);
             let task = &graph.tasks[tid.0];
             let codelet = &graph.codelets[task.codelet];
+            let accesses = graph.accesses(tid);
+            let label = graph.label(tid);
             // Idle, variant-compatible, group-compatible devices only.
             candidates.clear();
             candidates.extend(
@@ -212,7 +208,7 @@ pub fn simulate_dynamic(
             let est_finish = |d: DeviceId| {
                 let dev = &machine.devices[d.0];
                 let mut transfer = Duration::ZERO;
-                for a in &task.accesses {
+                for a in accesses {
                     transfer = transfer + data.probe_acquire(machine, a.handle, d, a.mode);
                 }
                 let compute = Duration::new(task.flops / (dev.flops_dp * speedup_of(d)));
@@ -221,7 +217,7 @@ pub fn simulate_dynamic(
             };
             let transfer_cost = |d: DeviceId| {
                 let mut t = Duration::ZERO;
-                for a in &task.accesses {
+                for a in accesses {
                     t = t + data.probe_acquire_via(machine, a.handle, d, a.mode, routing);
                 }
                 t
@@ -249,13 +245,10 @@ pub fn simulate_dynamic(
             let compute = Duration::new(task.flops / (dev.flops_dp * speedup));
             let end = if pipeline.is_active() {
                 let mut arrival = SimTime::ZERO;
-                for a in &task.accesses {
+                for a in accesses {
                     let plan = data.plan_acquire(machine, a.handle, chosen, a.mode, routing);
                     let floor = if pipeline.prefetch {
-                        handle_ready
-                            .get(&a.handle)
-                            .copied()
-                            .unwrap_or(SimTime::ZERO)
+                        handle_ready[a.handle.0]
                     } else {
                         now
                     };
@@ -266,18 +259,18 @@ pub fn simulate_dynamic(
                         &mut link_timelines,
                         &mut link_use,
                         &mut link_trace,
-                        &format!("{}:{}:in", task.label, data.meta(a.handle).label),
+                        &format!("{label}:{}:in", data.meta(a.handle).label),
                     );
                     data.commit(&plan);
                     data.finish_access(a.handle, chosen, a.mode);
                     arrival = arrival.max(done);
                 }
                 let (start, end) = timelines[chosen.0].reserve(now.max(arrival), compute);
-                trace.record(chosen, task.label.clone(), SpanKind::Compute, start, end);
+                trace.record(chosen, label.to_owned(), SpanKind::Compute, start, end);
                 end
             } else {
                 let mut transfer = Duration::ZERO;
-                for a in &task.accesses {
+                for a in accesses {
                     transfer = transfer + data.acquire(machine, a.handle, chosen, a.mode);
                 }
                 let dispatch_ready = if options.shared_host_bus && transfer > Duration::ZERO {
@@ -292,7 +285,7 @@ pub fn simulate_dynamic(
                     }
                     trace.record(
                         chosen,
-                        format!("{}:in", task.label),
+                        format!("{label}:in"),
                         SpanKind::Transfer,
                         start,
                         start + transfer,
@@ -300,16 +293,16 @@ pub fn simulate_dynamic(
                 }
                 trace.record(
                     chosen,
-                    task.label.clone(),
+                    label.to_owned(),
                     SpanKind::Compute,
                     start + transfer,
                     end,
                 );
                 end
             };
-            for a in &task.accesses {
+            for a in accesses {
                 if a.mode.writes() {
-                    handle_ready.insert(a.handle, end);
+                    handle_ready[a.handle.0] = end;
                 }
             }
             assignments.push((tid, chosen));
@@ -344,19 +337,10 @@ pub fn simulate_dynamic(
 
     // Flush outputs, as in the list engine.
     if options.flush_outputs {
-        let mut written: Vec<HandleId> = graph
-            .tasks
-            .iter()
-            .flat_map(|t| t.accesses.iter())
-            .filter(|a| a.mode.writes())
-            .map(|a| a.handle)
-            .collect();
-        written.sort_unstable();
-        written.dedup();
-        for h in written {
+        for h in written_handles(graph) {
             if pipeline.is_active() {
                 let plan = data.plan_flush(machine, h);
-                let floor = handle_ready.get(&h).copied().unwrap_or(SimTime::ZERO);
+                let floor = handle_ready[h.0];
                 run_plan_on_links(
                     &plan,
                     floor,
@@ -430,7 +414,8 @@ mod tests {
                 flops,
                 vec![acc(h, AccessMode::Write)],
                 None,
-            );
+            )
+            .unwrap();
         }
         g
     }
@@ -480,7 +465,8 @@ mod tests {
                 9.576e9,
                 vec![acc(h, AccessMode::ReadWrite)],
                 None,
-            );
+            )
+            .unwrap();
         }
         let r =
             simulate_dynamic(&g, &machine, &mut EagerScheduler, &SimOptions::default()).unwrap();
@@ -519,7 +505,8 @@ mod tests {
                 50e9,
                 vec![acc(chain, AccessMode::ReadWrite)],
                 None,
-            );
+            )
+            .unwrap();
         }
         for i in 0..16 {
             let h = g.register_data(format!("free{i}"), 8.0);
@@ -529,7 +516,8 @@ mod tests {
                 10e9,
                 vec![acc(h, AccessMode::Write)],
                 None,
-            );
+            )
+            .unwrap();
         }
         let dynamic =
             simulate_dynamic(&g, &machine, &mut HeftScheduler, &SimOptions::default()).unwrap();
@@ -576,6 +564,7 @@ mod tests {
                 None,
                 prio,
             )
+            .unwrap()
         };
         mk(&mut g, "low", -1);
         mk(&mut g, "high", 5);
@@ -598,7 +587,8 @@ mod tests {
         let mut g = TaskGraph::new();
         let c = g.add_codelet(Codelet::new("spe-only").with_variant(Variant::new("spe")));
         let h = g.register_data("d", 8.0);
-        g.submit(c, "t", 1.0, vec![acc(h, AccessMode::Write)], None);
+        g.submit(c, "t", 1.0, vec![acc(h, AccessMode::Write)], None)
+            .unwrap();
         let err = simulate_dynamic(&g, &machine, &mut EagerScheduler, &SimOptions::default())
             .unwrap_err();
         assert!(matches!(err, RtError::NoEligibleDevice { .. }));

@@ -25,10 +25,10 @@
 //!         .with_variant(Variant::new("gpu").requiring("Cuda")),
 //! );
 //! let c = graph.register_data("C", 512e6);
-//! graph.submit(dgemm, "tile", 1e12, vec![DataAccess {
+//! graph.submit(dgemm, "tile", 1e12, [DataAccess {
 //!     handle: c,
 //!     mode: AccessMode::ReadWrite,
-//! }], None);
+//! }], None).unwrap();
 //!
 //! let report = simulate(&graph, &machine, &mut HeftScheduler, &SimOptions::default()).unwrap();
 //! assert!(report.makespan.seconds() > 0.0);

@@ -227,10 +227,8 @@ mod tests {
         Task {
             id: TaskId(0),
             codelet: 0,
-            label: "t".into(),
             flops: 1.0,
-            accesses: vec![],
-            execution_group: None,
+            group: None,
             priority: 0,
         }
     }

@@ -25,7 +25,6 @@ use simhw::machine::{DeviceId, SimMachine};
 use simhw::resource::{BucketedTimeline, Timeline};
 use simhw::time::{Duration, SimTime};
 use simhw::trace::{SpanKind, Trace};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Which mechanisms of the interconnect-aware transfer pipeline are active.
@@ -118,6 +117,21 @@ pub enum RtError {
     },
     /// The machine has no devices at all.
     EmptyMachine,
+    /// A submission named a codelet index past the graph's codelet table.
+    UnknownCodelet {
+        /// The index given.
+        codelet: usize,
+        /// Codelets registered in the graph.
+        codelets: usize,
+    },
+    /// A submission accessed a handle the graph's data registry never
+    /// registered.
+    UnknownHandle {
+        /// The handle given.
+        handle: HandleId,
+        /// Handles registered in the graph.
+        handles: usize,
+    },
 }
 
 impl fmt::Display for RtError {
@@ -135,6 +149,14 @@ impl fmt::Display for RtError {
                 write!(f, ") — provide a fall-back variant or widen the group")
             }
             RtError::EmptyMachine => write!(f, "the simulated machine has no devices"),
+            RtError::UnknownCodelet { codelet, codelets } => write!(
+                f,
+                "unknown codelet index {codelet} (the graph registers {codelets})"
+            ),
+            RtError::UnknownHandle { handle, handles } => write!(
+                f,
+                "unknown data handle {handle} (the graph registers {handles})"
+            ),
         }
     }
 }
@@ -223,11 +245,14 @@ pub fn simulate(
     let mut link_trace = Trace::new();
     // When each handle's current value came into existence (its last
     // writer's finish time) — the earliest a prefetched transfer may start.
-    let mut handle_ready: BTreeMap<HandleId, SimTime> = BTreeMap::new();
+    let mut handle_ready: Vec<SimTime> = vec![SimTime::ZERO; data.len()];
 
     for &tid in &graph.topological_order() {
         let task = &graph.tasks[tid.0];
         let codelet = &graph.codelets[task.codelet];
+        let accesses = graph.accesses(tid);
+        let label = graph.label(tid);
+        let group = graph.execution_group(tid);
 
         // Candidate devices: variant-compatible ∩ execution group.
         let candidates: Vec<DeviceId> = machine
@@ -237,7 +262,7 @@ pub fn simulate(
                 let sw: Vec<&str> = d.software_platforms.iter().map(String::as_str).collect();
                 codelet.variant_for(&d.arch, &sw).is_some()
             })
-            .filter(|d| match &task.execution_group {
+            .filter(|d| match group {
                 None => true,
                 Some(g) => d.groups.iter().any(|dg| dg == g),
             })
@@ -248,7 +273,7 @@ pub fn simulate(
             return Err(RtError::NoEligibleDevice {
                 task: tid,
                 codelet: codelet.name.clone(),
-                execution_group: task.execution_group.clone(),
+                execution_group: group.map(str::to_owned),
             });
         }
 
@@ -268,7 +293,7 @@ pub fn simulate(
                 .variant_for(&dev.arch, &sw)
                 .expect("candidate implies variant");
             let mut transfer = Duration::ZERO;
-            for a in &task.accesses {
+            for a in accesses {
                 transfer = transfer + data.probe_acquire(machine, a.handle, d, a.mode);
             }
             let compute = Duration::new(task.flops / (dev.flops_dp * variant.speedup));
@@ -277,15 +302,14 @@ pub fn simulate(
         };
         let transfer_cost = |d: DeviceId| {
             let mut t = Duration::ZERO;
-            for a in &task.accesses {
+            for a in accesses {
                 t = t + data.probe_acquire_via(machine, a.handle, d, a.mode, routing);
             }
             t
         };
         let est_compute = |d: DeviceId| {
             let dev = &machine.devices[d.0];
-            let size: f64 = task
-                .accesses
+            let size: f64 = accesses
                 .iter()
                 .map(|a| data.meta(a.handle).size_bytes)
                 .sum();
@@ -326,13 +350,10 @@ pub fn simulate(
             // its route occupies, concurrently with device compute. The
             // compute span alone occupies the device.
             let mut arrival = SimTime::ZERO;
-            for a in &task.accesses {
+            for a in accesses {
                 let plan = data.plan_acquire(machine, a.handle, chosen, a.mode, routing);
                 let floor = if pipeline.prefetch {
-                    handle_ready
-                        .get(&a.handle)
-                        .copied()
-                        .unwrap_or(SimTime::ZERO)
+                    handle_ready[a.handle.0]
                 } else {
                     ready
                 };
@@ -343,20 +364,20 @@ pub fn simulate(
                     &mut link_timelines,
                     &mut link_use,
                     &mut link_trace,
-                    &format!("{}:{}:in", task.label, data.meta(a.handle).label),
+                    &format!("{label}:{}:in", data.meta(a.handle).label),
                 );
                 data.commit(&plan);
                 data.finish_access(a.handle, chosen, a.mode);
                 arrival = arrival.max(done);
             }
             let (start, end) = timelines[chosen.0].reserve(ready.max(arrival), compute);
-            trace.record(chosen, task.label.clone(), SpanKind::Compute, start, end);
+            trace.record(chosen, label.to_owned(), SpanKind::Compute, start, end);
             end
         } else {
             // Legacy synchronous path: transfers charged on the destination
             // device's own timeline, host-staged routing.
             let mut transfer = Duration::ZERO;
-            for a in &task.accesses {
+            for a in accesses {
                 transfer = transfer + data.acquire(machine, a.handle, chosen, a.mode);
             }
             // With bus contention on, the transfer additionally occupies
@@ -373,7 +394,7 @@ pub fn simulate(
                 }
                 trace.record(
                     chosen,
-                    format!("{}:in", task.label),
+                    format!("{label}:in"),
                     SpanKind::Transfer,
                     start,
                     start + transfer,
@@ -381,7 +402,7 @@ pub fn simulate(
             }
             trace.record(
                 chosen,
-                task.label.clone(),
+                label.to_owned(),
                 SpanKind::Compute,
                 start + transfer,
                 end,
@@ -389,16 +410,15 @@ pub fn simulate(
             end
         };
         finish[tid.0] = end;
-        for a in &task.accesses {
+        for a in accesses {
             if a.mode.writes() {
-                handle_ready.insert(a.handle, end);
+                handle_ready[a.handle.0] = end;
             }
         }
         assignments.push((tid, chosen));
 
         if options.learn_perfmodel {
-            let size: f64 = task
-                .accesses
+            let size: f64 = accesses
                 .iter()
                 .map(|a| data.meta(a.handle).size_bytes)
                 .sum();
@@ -408,19 +428,10 @@ pub fn simulate(
 
     // Flush outputs home: every handle written by some task returns to host.
     if options.flush_outputs {
-        let mut written: Vec<HandleId> = graph
-            .tasks
-            .iter()
-            .flat_map(|t| t.accesses.iter())
-            .filter(|a| a.mode.writes())
-            .map(|a| a.handle)
-            .collect();
-        written.sort_unstable();
-        written.dedup();
-        for h in written {
+        for h in written_handles(graph) {
             if pipeline.is_active() {
                 let plan = data.plan_flush(machine, h);
-                let floor = handle_ready.get(&h).copied().unwrap_or(SimTime::ZERO);
+                let floor = handle_ready[h.0];
                 run_plan_on_links(
                     &plan,
                     floor,
@@ -469,6 +480,20 @@ pub fn simulate(
         link_trace,
         trace,
     })
+}
+
+/// Every handle some task of `graph` writes, ascending.
+pub(crate) fn written_handles(graph: &TaskGraph) -> impl Iterator<Item = HandleId> {
+    let mut written = vec![false; graph.data.len()];
+    for t in &graph.tasks {
+        for a in graph.accesses(t.id) {
+            written[a.handle.0] |= a.mode.writes();
+        }
+    }
+    written
+        .into_iter()
+        .enumerate()
+        .filter_map(|(h, w)| w.then_some(HandleId(h)))
 }
 
 /// Places one [`TransferPlan`]'s hops onto the physical-link timelines,
@@ -583,7 +608,8 @@ mod tests {
                 flops,
                 vec![acc(h, AccessMode::Write)],
                 None,
-            );
+            )
+            .unwrap();
         }
         g
     }
@@ -615,7 +641,8 @@ mod tests {
                 9.576e9,
                 vec![acc(h, AccessMode::ReadWrite)],
                 None,
-            );
+            )
+            .unwrap();
         }
         let r = simulate(&g, &machine, &mut EagerScheduler, &SimOptions::default()).unwrap();
         // Pure chain: 4 s no matter how many cores.
@@ -633,7 +660,8 @@ mod tests {
         );
         let a = g.register_data("A", 512e6);
         // Heavy compute: GPU wins even after paying PCIe transfer.
-        g.submit(c, "big", 100e9, vec![acc(a, AccessMode::ReadWrite)], None);
+        g.submit(c, "big", 100e9, vec![acc(a, AccessMode::ReadWrite)], None)
+            .unwrap();
         let r = simulate(&g, &machine, &mut HeftScheduler, &SimOptions::default()).unwrap();
         let (_, dev) = r.assignments[0];
         assert_eq!(machine.devices[dev.0].arch, "gpu");
@@ -653,7 +681,8 @@ mod tests {
                 .with_variant(Variant::new("gpu").requiring("Cuda")),
         );
         let a = g.register_data("A", 512e6); // large data
-        g.submit(c, "tiny", 1e6, vec![acc(a, AccessMode::ReadWrite)], None); // trivial compute
+        g.submit(c, "tiny", 1e6, vec![acc(a, AccessMode::ReadWrite)], None)
+            .unwrap(); // trivial compute
         let r = simulate(&g, &machine, &mut HeftScheduler, &SimOptions::default()).unwrap();
         let (_, dev) = r.assignments[0];
         assert_eq!(machine.devices[dev.0].arch, "x86"); // transfer not worth it
@@ -674,8 +703,9 @@ mod tests {
             "gpu-only",
             1.0,
             vec![acc(h, AccessMode::Write)],
-            Some("gpus".into()),
-        );
+            Some("gpus"),
+        )
+        .unwrap();
         let r = simulate(&g, &machine, &mut EagerScheduler, &SimOptions::default()).unwrap();
         let (_, dev) = r.assignments[0];
         assert!(machine.devices[dev.0].groups.contains(&"gpus".to_string()));
@@ -687,7 +717,8 @@ mod tests {
         let mut g = TaskGraph::new();
         let c = g.add_codelet(Codelet::new("spe-only").with_variant(Variant::new("spe")));
         let h = g.register_data("d", 8.0);
-        g.submit(c, "t", 1.0, vec![acc(h, AccessMode::Write)], None);
+        g.submit(c, "t", 1.0, vec![acc(h, AccessMode::Write)], None)
+            .unwrap();
         let err = simulate(&g, &machine, &mut EagerScheduler, &SimOptions::default()).unwrap_err();
         assert!(matches!(err, RtError::NoEligibleDevice { .. }));
         assert!(err.to_string().contains("spe-only"));
@@ -704,8 +735,9 @@ mod tests {
             "t",
             1.0,
             vec![acc(h, AccessMode::Write)],
-            Some("gpus".into()), // CPU-only machine has no gpus group
-        );
+            Some("gpus"), // CPU-only machine has no gpus group
+        )
+        .unwrap();
         let err = simulate(&g, &machine, &mut EagerScheduler, &SimOptions::default()).unwrap_err();
         assert!(matches!(err, RtError::NoEligibleDevice { .. }));
     }
@@ -724,14 +756,16 @@ mod tests {
                 1e9,
                 vec![acc(h, AccessMode::ReadWrite)],
                 None,
-            );
+            )
+            .unwrap();
             g.submit(
                 c,
                 format!("f{i}"),
                 1e9,
                 vec![acc(h2, AccessMode::Read)],
                 None,
-            );
+            )
+            .unwrap();
         }
         let r = simulate(&g, &machine, &mut EagerScheduler, &SimOptions::default()).unwrap();
         let fastest = machine
@@ -783,7 +817,8 @@ mod tests {
         let c =
             g.add_codelet(Codelet::new("k").with_variant(Variant::new("gpu").requiring("Cuda")));
         let h = g.register_data("d", 600e6);
-        g.submit(c, "t", 1e9, vec![acc(h, AccessMode::Write)], None);
+        g.submit(c, "t", 1e9, vec![acc(h, AccessMode::Write)], None)
+            .unwrap();
         let with_flush =
             simulate(&g, &machine, &mut EagerScheduler, &SimOptions::default()).unwrap();
         let without = simulate(
@@ -817,7 +852,8 @@ mod tests {
                 1e9,
                 vec![acc(h, AccessMode::ReadWrite)],
                 None,
-            );
+            )
+            .unwrap();
         }
         let independent =
             simulate(&g, &machine, &mut EagerScheduler, &SimOptions::default()).unwrap();
@@ -869,7 +905,8 @@ mod tests {
                 10e9,
                 vec![acc(h, AccessMode::Read)],
                 None,
-            );
+            )
+            .unwrap();
         }
         let legacy = simulate(&g, &machine, &mut EagerScheduler, &SimOptions::default()).unwrap();
         let piped = simulate(
@@ -915,7 +952,8 @@ mod tests {
                 10e9,
                 vec![acc(h, AccessMode::Read)],
                 None,
-            );
+            )
+            .unwrap();
         }
         let opts = |contention| SimOptions {
             pipeline: TransferPipeline {
@@ -955,14 +993,16 @@ mod tests {
             100e9,
             vec![acc(chain, AccessMode::Write)],
             None,
-        );
+        )
+        .unwrap();
         g.submit(
             c,
             "consumer",
             1e9,
             vec![acc(chain, AccessMode::Read), acc(input, AccessMode::Read)],
             None,
-        );
+        )
+        .unwrap();
         let opts = |prefetch| SimOptions {
             flush_outputs: false,
             pipeline: TransferPipeline {
@@ -989,8 +1029,10 @@ mod tests {
         let h = g.register_data("A", 600e6);
         // Round-robin over the two GPU candidates: producer on gpu0,
         // consumer on gpu1.
-        g.submit(c, "produce", 10e9, vec![acc(h, AccessMode::Write)], None);
-        g.submit(c, "consume", 10e9, vec![acc(h, AccessMode::Read)], None);
+        g.submit(c, "produce", 10e9, vec![acc(h, AccessMode::Write)], None)
+            .unwrap();
+        g.submit(c, "consume", 10e9, vec![acc(h, AccessMode::Read)], None)
+            .unwrap();
         let opts = |p2p| SimOptions {
             flush_outputs: false,
             pipeline: TransferPipeline {

@@ -135,21 +135,25 @@ pub struct DataAccess {
 }
 
 /// One invocation of a codelet.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A small `Copy` record: the task's label, data accesses and execution
+/// group name live in its [`crate::graph::TaskGraph`], read through
+/// [`label`](crate::graph::TaskGraph::label),
+/// [`accesses`](crate::graph::TaskGraph::accesses) and
+/// [`execution_group`](crate::graph::TaskGraph::execution_group).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Task {
     /// Task id within its graph.
     pub id: TaskId,
     /// Index of the codelet in the graph's codelet table.
     pub codelet: usize,
-    /// Display label (`dgemm[2,3]`).
-    pub label: String,
     /// Work in double-precision FLOPs (drives the simulated compute time).
     pub flops: f64,
-    /// Data accesses in parameter order.
-    pub accesses: Vec<DataAccess>,
-    /// Optional device restriction: the task must run on a device whose PU
-    /// belongs to this logic group (the paper's *executiongroup*).
-    pub execution_group: Option<String>,
+    /// Optional device restriction, as an index into the graph's interned
+    /// [`groups`](crate::graph::TaskGraph::groups) table: the task must run
+    /// on a device whose PU belongs to that logic group (the paper's
+    /// *executiongroup*).
+    pub group: Option<usize>,
     /// Scheduling priority (higher = dispatched earlier by the online
     /// engine; StarPU-style). Defaults to 0.
     pub priority: i32,

@@ -36,8 +36,8 @@
 //! guarantees acyclicity by construction — same rule as the graphs built by
 //! [`crate::graph::TaskGraph`].
 
-use crate::graph::TaskGraph;
-use crate::task::Task;
+use crate::graph::{Csr, StrArena, TaskGraph};
+use crate::task::{Task, TaskId};
 use crossbeam::channel;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use hetero_trace::telemetry::{self, AtomicHistogram, Counter, Gauge, LocalHistogram};
@@ -47,7 +47,7 @@ use hetero_trace::{
 };
 use parking_lot::Mutex;
 use pdl_core::platform::Platform;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
 use std::time::Duration as StdDuration;
 
@@ -377,9 +377,9 @@ pub fn from_graph(
         .tasks
         .iter()
         .map(|t| ThreadTask {
-            label: t.label.clone(),
+            label: graph.label(t.id).to_owned(),
             deps: graph.dependencies(t.id).iter().map(|d| d.0).collect(),
-            group: t.execution_group.clone(),
+            group: graph.execution_group(t.id).map(str::to_owned),
             work: work(t),
         })
         .collect()
@@ -392,26 +392,9 @@ pub fn from_graph(
 /// A task body, claimable exactly once by whichever worker executes it.
 type WorkSlot = Mutex<Option<Box<dyn FnOnce() + Send>>>;
 
-/// Reusable buffers for [`build_runtime`]'s CSR construction.
-///
-/// Batched submission re-runs the dependency build once per batch; keeping
-/// the edge list and per-task dedup scratch alive across batches means the
-/// submit hot path allocates nothing after the first batch warms the
-/// buffers up.
-#[derive(Debug, Default)]
-pub struct BuildScratch {
-    /// `(dependency, dependent)` edge accumulator.
-    edges: Vec<(usize, usize)>,
-    /// Per-task dependency dedup buffer.
-    scratch: Vec<usize>,
-}
-
 struct ValidatedTasks {
     pending: Vec<AtomicUsize>,
-    /// Dependents in CSR form (offsets + flat targets): avoids one small
-    /// heap allocation per task that a `Vec<Vec<usize>>` would cost.
-    dep_offsets: Vec<usize>,
-    dep_targets: Vec<usize>,
+    dependents: Csr<TaskId>,
     labels: Vec<String>,
     work: Vec<WorkSlot>,
 }
@@ -422,14 +405,13 @@ struct ValidatedTasks {
 #[derive(Clone, Copy)]
 struct RuntimeView<'a> {
     pending: &'a [AtomicUsize],
-    dep_offsets: &'a [usize],
-    dep_targets: &'a [usize],
+    dependents: &'a Csr<TaskId>,
     work: &'a [WorkSlot],
 }
 
 impl RuntimeView<'_> {
-    fn dependents(&self, i: usize) -> &[usize] {
-        &self.dep_targets[self.dep_offsets[i]..self.dep_offsets[i + 1]]
+    fn dependents(&self, i: usize) -> &[TaskId] {
+        self.dependents.row(i)
     }
 }
 
@@ -437,61 +419,37 @@ impl ValidatedTasks {
     fn view(&self) -> RuntimeView<'_> {
         RuntimeView {
             pending: &self.pending,
-            dep_offsets: &self.dep_offsets,
-            dep_targets: &self.dep_targets,
+            dependents: &self.dependents,
             work: &self.work,
         }
-    }
-
-    fn dependents(&self, i: usize) -> &[usize] {
-        &self.dep_targets[self.dep_offsets[i]..self.dep_offsets[i + 1]]
     }
 }
 
 /// Validates dependency indices and builds the runtime representation:
-/// atomic pending counters plus the dependents CSR. `buf` carries the
-/// reusable scratch allocations (see [`BuildScratch`]).
-fn build_runtime(
-    tasks: Vec<ThreadTask>,
-    buf: &mut BuildScratch,
-) -> Result<ValidatedTasks, ThreadEngineError> {
-    let n = tasks.len();
+/// atomic pending counters plus the dependents CSR, which is the transpose
+/// of the tasks' sorted, de-duplicated dependency rows — the same builder
+/// [`TaskGraph`] uses.
+fn build_runtime(tasks: Vec<ThreadTask>) -> Result<ValidatedTasks, ThreadEngineError> {
     for (i, t) in tasks.iter().enumerate() {
-        for &d in &t.deps {
-            if d >= i {
-                return Err(ThreadEngineError::ForwardDependency { task: i, dep: d });
-            }
+        if let Some(&d) = t.deps.iter().find(|&&d| d >= i) {
+            return Err(ThreadEngineError::ForwardDependency { task: i, dep: d });
         }
     }
-    let mut pending = Vec::with_capacity(n);
-    buf.edges.clear();
-    for (i, t) in tasks.iter().enumerate() {
-        buf.scratch.clear();
-        buf.scratch.extend_from_slice(&t.deps);
-        buf.scratch.sort_unstable();
-        buf.scratch.dedup();
-        pending.push(AtomicUsize::new(buf.scratch.len()));
-        buf.edges.extend(buf.scratch.iter().map(|&d| (d, i)));
-    }
-    buf.edges.sort_unstable();
-    let mut dep_offsets = vec![0usize; n + 1];
-    for &(d, _) in &buf.edges {
-        dep_offsets[d + 1] += 1;
-    }
-    for i in 0..n {
-        dep_offsets[i + 1] += dep_offsets[i];
-    }
-    let dep_targets = buf.edges.iter().map(|&(_, t)| t).collect();
+    let n = tasks.len();
+    let mut dependencies = Csr::default();
+    let mut scratch = Vec::new();
     let mut labels = Vec::with_capacity(n);
     let mut work = Vec::with_capacity(n);
     for t in tasks {
+        scratch.clear();
+        scratch.extend(t.deps.iter().map(|&d| TaskId(d)));
+        dependencies.push_sorted_unique(&mut scratch);
         labels.push(t.label);
         work.push(Mutex::new(Some(t.work)));
     }
     Ok(ValidatedTasks {
-        pending,
-        dep_offsets,
-        dep_targets,
+        pending: dependencies.row_lens().map(AtomicUsize::new).collect(),
+        dependents: dependencies.transpose(),
         labels,
         work,
     })
@@ -500,19 +458,18 @@ fn build_runtime(
 /// A dependency graph compiled once for repeated execution.
 ///
 /// [`ThreadedExecutor::compile_graph`] prebuilds everything `run` would
-/// derive per call — the dependents CSR, the initial pending counts, the
-/// placement-resolved group of every task — so each
-/// [`ThreadedExecutor::run_compiled`] batch only instantiates fresh atomic
-/// counters and work closures. This is the batched submission path: for a
-/// graph executed many times (or a million-task graph where the build cost
-/// is material), the per-run submit work drops to two `memcpy`-shaped
-/// passes.
+/// derive per call — the initial pending counts, the placement-resolved
+/// group of every task — and shares the graph's own dependents CSR, so
+/// each [`ThreadedExecutor::run_compiled`] batch only instantiates fresh
+/// atomic counters and work closures. This is the batched submission path:
+/// for a graph executed many times (or a million-task graph where the
+/// build cost is material), the per-run submit work drops to two
+/// `memcpy`-shaped passes.
 #[derive(Debug, Clone)]
 pub struct CompiledGraph {
     pending_init: Vec<usize>,
-    dep_offsets: Vec<usize>,
-    dep_targets: Vec<usize>,
-    labels: Vec<String>,
+    dependents: Arc<Csr<TaskId>>,
+    labels: StrArena,
     task_group: Vec<Option<usize>>,
     group_names: Vec<String>,
     /// Task indices with no dependencies, in submission order — the seed
@@ -529,6 +486,12 @@ impl CompiledGraph {
     /// Whether the compiled graph has no tasks.
     pub fn is_empty(&self) -> bool {
         self.pending_init.is_empty()
+    }
+
+    /// Dependency count of every task, by index: the pending counter each
+    /// run starts from.
+    pub fn dependency_counts(&self) -> &[usize] {
+        &self.pending_init
     }
 }
 
@@ -749,17 +712,6 @@ impl ThreadedExecutor {
 
     /// Executes all tasks, returning per-task and per-worker stats.
     pub fn run(&self, tasks: Vec<ThreadTask>) -> Result<ExecReport, ThreadEngineError> {
-        self.run_with_scratch(tasks, &mut BuildScratch::default())
-    }
-
-    /// [`run`](Self::run) with caller-owned build buffers: batched
-    /// submission calls this in a loop so the CSR edge list and the dedup
-    /// scratch are reused across batches instead of reallocated per run.
-    pub fn run_with_scratch(
-        &self,
-        tasks: Vec<ThreadTask>,
-        buf: &mut BuildScratch,
-    ) -> Result<ExecReport, ThreadEngineError> {
         let n = tasks.len();
         // One clock for the whole run: every worker stamps events and
         // measures durations against the same monotonic origin.
@@ -793,7 +745,7 @@ impl ThreadedExecutor {
             time_unit: TimeUnit::RealNanos,
         });
 
-        let mut v = build_runtime(tasks, buf)?;
+        let mut v = build_runtime(tasks)?;
         prelude.record(
             &clock,
             EventKind::PhaseEnd {
@@ -834,35 +786,16 @@ impl ThreadedExecutor {
     /// subsequent run only instantiates fresh atomic counters and work
     /// closures.
     pub fn compile_graph(&self, graph: &TaskGraph) -> Result<CompiledGraph, ThreadEngineError> {
-        let n = graph.tasks.len();
         let task_group =
-            self.resolve_task_groups(graph.tasks.iter().map(|t| t.execution_group.as_deref()))?;
-        let mut pending_init = Vec::with_capacity(n);
-        let mut edges: Vec<(usize, usize)> = Vec::new();
-        let mut scratch: Vec<usize> = Vec::new();
-        for t in &graph.tasks {
-            scratch.clear();
-            scratch.extend(graph.dependencies(t.id).iter().map(|d| d.0));
-            scratch.sort_unstable();
-            scratch.dedup();
-            pending_init.push(scratch.len());
-            edges.extend(scratch.iter().map(|&d| (d, t.id.0)));
-        }
-        edges.sort_unstable();
-        let mut dep_offsets = vec![0usize; n + 1];
-        for &(d, _) in &edges {
-            dep_offsets[d + 1] += 1;
-        }
-        for i in 0..n {
-            dep_offsets[i + 1] += dep_offsets[i];
-        }
-        let dep_targets = edges.into_iter().map(|(_, t)| t).collect();
-        let initially_ready = (0..n).filter(|&i| pending_init[i] == 0).collect();
+            self.resolve_task_groups(graph.tasks.iter().map(|t| graph.execution_group(t.id)))?;
+        let pending_init: Vec<usize> = graph.dependency_counts().collect();
+        let initially_ready = (0..pending_init.len())
+            .filter(|&i| pending_init[i] == 0)
+            .collect();
         Ok(CompiledGraph {
             pending_init,
-            dep_offsets,
-            dep_targets,
-            labels: graph.tasks.iter().map(|t| t.label.clone()).collect(),
+            dependents: Arc::clone(graph.dependents_csr()),
+            labels: graph.labels().clone(),
             task_group,
             group_names: self.group_names(),
             initially_ready,
@@ -899,12 +832,9 @@ impl ThreadedExecutor {
         let meta = self.sink.enabled().then(|| TraceMeta {
             platform: self.placement.as_ref().and_then(|p| p.platform.clone()),
             lanes: lane_labels(self.workers, self.placement.as_ref()),
-            tasks: graph
-                .labels
-                .iter()
-                .enumerate()
-                .map(|(i, label)| TaskInfo {
-                    label: label.clone(),
+            tasks: (0..n)
+                .map(|i| TaskInfo {
+                    label: graph.labels.get(i).to_owned(),
                     category: "task".to_string(),
                     group: graph.task_group[i].map(|g| group_names[g].clone()),
                 })
@@ -934,8 +864,7 @@ impl ThreadedExecutor {
         }
         let view = RuntimeView {
             pending: &pending,
-            dep_offsets: &graph.dep_offsets,
-            dep_targets: &graph.dep_targets,
+            dependents: &graph.dependents,
             work: &slots,
         };
         let mut out = self.run_inner(
@@ -950,7 +879,7 @@ impl ThreadedExecutor {
             .records
             .drain(..)
             .map(|(task, worker, duration)| TaskStats {
-                label: graph.labels[task].clone(),
+                label: graph.labels.get(task).to_owned(),
                 worker,
                 duration,
             })
@@ -1040,6 +969,7 @@ impl ThreadedExecutor {
         );
 
         let completed = AtomicUsize::new(0);
+        let scanned: Vec<AtomicBool> = (0..self.workers).map(|_| AtomicBool::new(false)).collect();
         let park = std::sync::Mutex::new(());
         let wake = Condvar::new();
         let tel = self.telemetry.then(ExecutorTelemetry::handles);
@@ -1071,6 +1001,7 @@ impl ThreadedExecutor {
                     task_group,
                     v: rt,
                     completed: &completed,
+                    scanned: &scanned,
                     park: &park,
                     wake: &wake,
                     n,
@@ -1156,6 +1087,11 @@ struct WorkerCtx<'a> {
     task_group: &'a [Option<usize>],
     v: RuntimeView<'a>,
     completed: &'a AtomicUsize,
+    /// Per worker: whether it has made its first claim. Other groups do
+    /// not steal from a worker's deque before that, so a task seeded to
+    /// its group is not taken away merely because its owner's thread
+    /// started late; the owner's first claim always pops its own deque.
+    scanned: &'a [AtomicBool],
     park: &'a std::sync::Mutex<()>,
     wake: &'a Condvar,
     n: usize,
@@ -1232,7 +1168,13 @@ impl WorkerCtx<'_> {
             if self.completed.load(Ordering::Acquire) >= self.n {
                 break;
             }
-            match self.find_task() {
+            let claim = self.find_task();
+            if !self.scanned[self.me].load(Ordering::Relaxed) {
+                // Release pairs with the thieves' Acquire load: a thief that
+                // sees the flag sees this first claim's pop as well.
+                self.scanned[self.me].store(true, Ordering::Release);
+            }
+            match claim {
                 Some((task, source)) => {
                     match source {
                         Source::Local => hot.depth = hot.depth.saturating_sub(1),
@@ -1352,7 +1294,7 @@ impl WorkerCtx<'_> {
             }
         }
         for (w, stealer) in self.stealers.iter().enumerate() {
-            if self.worker_group[w] == self.my_group {
+            if self.worker_group[w] == self.my_group || !self.scanned[w].load(Ordering::Acquire) {
                 continue;
             }
             if let Some(i) = steal_from(stealer) {
@@ -1398,7 +1340,7 @@ impl WorkerCtx<'_> {
         // one notify covers all cross-group hand-offs.
         let mut next: Option<usize> = None;
         let mut woke_other_group = false;
-        for &dep in self.v.dependents(i) {
+        for &TaskId(dep) in self.v.dependents(i) {
             if self.v.pending[dep].fetch_sub(1, Ordering::AcqRel) == 1 {
                 tracer.record(&self.clock, EventKind::TaskReady { task: dep as u32 });
                 match self.task_group[dep] {
@@ -1507,7 +1449,7 @@ impl SingleQueueExecutor {
                 .collect(),
             time_unit: TimeUnit::RealNanos,
         });
-        let v = build_runtime(tasks, &mut BuildScratch::default())?;
+        let v = build_runtime(tasks)?;
         prelude.record(
             &clock,
             EventKind::PhaseEnd {
@@ -1599,7 +1541,7 @@ impl SingleQueueExecutor {
                             worker,
                             duration: dt,
                         });
-                        for &dep in v.dependents(i) {
+                        for &TaskId(dep) in v.dependents.row(i) {
                             if v.pending[dep].fetch_sub(1, Ordering::AcqRel) == 1 {
                                 tracer.record(&clock, EventKind::TaskReady { task: dep as u32 });
                                 let _ = tx.send(dep);
@@ -1983,14 +1925,16 @@ mod tests {
             "w",
             1.0,
             vec![acc(crate::data::AccessMode::Write)],
-            Some("gpus".into()),
-        );
-        g.submit(c, "r", 1.0, vec![acc(crate::data::AccessMode::Read)], None);
+            Some("gpus"),
+        )
+        .unwrap();
+        g.submit(c, "r", 1.0, vec![acc(crate::data::AccessMode::Read)], None)
+            .unwrap();
 
         let log = Arc::new(Mutex::new(Vec::new()));
         let tasks = from_graph(&g, |t| {
             let log = log.clone();
-            let label = t.label.clone();
+            let label = g.label(t.id).to_owned();
             Box::new(move || log.lock().push(label))
         });
         assert_eq!(tasks.len(), 2);
@@ -2011,10 +1955,13 @@ mod tests {
         let b = g.register_data("b", 8.0);
         let acc = |h, mode| crate::task::DataAccess { handle: h, mode };
         use crate::data::AccessMode::{Read, Write};
-        g.submit(c, "src", 1.0, vec![acc(h, Write)], None);
-        g.submit(c, "l", 1.0, vec![acc(h, Read), acc(a, Write)], None);
-        g.submit(c, "r", 1.0, vec![acc(h, Read), acc(b, Write)], None);
-        g.submit(c, "join", 1.0, vec![acc(a, Read), acc(b, Read)], None);
+        g.submit(c, "src", 1.0, vec![acc(h, Write)], None).unwrap();
+        g.submit(c, "l", 1.0, vec![acc(h, Read), acc(a, Write)], None)
+            .unwrap();
+        g.submit(c, "r", 1.0, vec![acc(h, Read), acc(b, Write)], None)
+            .unwrap();
+        g.submit(c, "join", 1.0, vec![acc(a, Read), acc(b, Read)], None)
+            .unwrap();
         g
     }
 
@@ -2085,8 +2032,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_across_batches() {
-        let mut buf = BuildScratch::default();
+    fn repeated_batches_run() {
         let pool = ThreadedExecutor::new(2);
         for batch in 0..3 {
             let counter = Arc::new(AtomicU64::new(0));
@@ -2102,7 +2048,7 @@ mod tests {
                     t
                 })
                 .collect();
-            pool.run_with_scratch(tasks, &mut buf).unwrap();
+            pool.run(tasks).unwrap();
             assert_eq!(counter.load(Ordering::Relaxed), 16);
         }
     }
@@ -2115,7 +2061,8 @@ mod tests {
         );
         for i in 0..8 {
             let group = if i % 2 == 0 { "cpus" } else { "gpus" };
-            g.submit(c, format!("t{i}"), 1.0, vec![], Some(group.into()));
+            g.submit(c, format!("t{i}"), 1.0, vec![], Some(group))
+                .unwrap();
         }
         let pool = ThreadedExecutor::with_placement(
             Placement::new().with_group("cpus", 2).with_group("gpus", 2),

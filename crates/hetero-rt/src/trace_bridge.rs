@@ -200,16 +200,18 @@ mod tests {
         );
         let c = graph.register_data("C", 64e6);
         for i in 0..6 {
-            graph.submit(
-                dgemm,
-                format!("tile{i}"),
-                1e10,
-                vec![DataAccess {
-                    handle: c,
-                    mode: AccessMode::Read,
-                }],
-                None,
-            );
+            graph
+                .submit(
+                    dgemm,
+                    format!("tile{i}"),
+                    1e10,
+                    vec![DataAccess {
+                        handle: c,
+                        mode: AccessMode::Read,
+                    }],
+                    None,
+                )
+                .unwrap();
         }
         let report = simulate(&graph, &machine, &mut HeftScheduler, &SimOptions::default())
             .expect("simulation runs");
@@ -246,16 +248,18 @@ mod tests {
             .add_codelet(Codelet::new("k").with_variant(Variant::new("gpu").requiring("Cuda")));
         for i in 0..3 {
             let h = graph.register_data(format!("in{i}"), 600e6);
-            graph.submit(
-                k,
-                format!("t{i}"),
-                1e10,
-                vec![DataAccess {
-                    handle: h,
-                    mode: AccessMode::Read,
-                }],
-                None,
-            );
+            graph
+                .submit(
+                    k,
+                    format!("t{i}"),
+                    1e10,
+                    vec![DataAccess {
+                        handle: h,
+                        mode: AccessMode::Read,
+                    }],
+                    None,
+                )
+                .unwrap();
         }
         // Contention off: transfers on one link may overlap, forcing the
         // bridge to split that link into numbered channels.

@@ -14,10 +14,21 @@ use hetero_rt::data::{AccessMode, HandleId};
 use hetero_rt::graph::TaskGraph;
 use hetero_rt::task::{Codelet, DataAccess, Variant};
 
+/// Every builder registers its codelet and data before submitting, so a
+/// submission can only fail on a bug here.
+const BUILT_HERE: &str = "builders submit only codelets and handles they registered";
+
 fn read(handle: HandleId) -> DataAccess {
     DataAccess {
         handle,
         mode: AccessMode::Read,
+    }
+}
+
+fn write(handle: HandleId) -> DataAccess {
+    DataAccess {
+        handle,
+        mode: AccessMode::Write,
     }
 }
 
@@ -76,15 +87,16 @@ pub fn dgemm_graph(n: usize, tile: usize, execution_group: Option<String>) -> Ta
             for k in 0..tiles {
                 g.submit(
                     codelet,
-                    format!("dgemm[{i},{j},{k}]"),
+                    format_args!("dgemm[{i},{j},{k}]"),
                     tile_flops,
-                    vec![
+                    [
                         read(a[i * tiles + k]),
                         read(b[k * tiles + j]),
                         rw(c[i * tiles + j]),
                     ],
-                    execution_group.clone(),
-                );
+                    execution_group.as_deref(),
+                )
+                .expect(BUILT_HERE);
             }
         }
     }
@@ -104,9 +116,10 @@ pub fn dgemm_serial_graph(n: usize) -> TaskGraph {
         codelet,
         "dgemm",
         dgemm_flops(n),
-        vec![read(a), read(b), rw(c)],
+        [read(a), read(b), rw(c)],
         None,
-    );
+    )
+    .expect(BUILT_HERE);
     g
 }
 
@@ -129,11 +142,12 @@ pub fn vecadd_graph(n: usize, chunks: usize, execution_group: Option<String>) ->
         let b = g.register_data(format!("B[{idx}]"), vector_bytes(len));
         g.submit(
             codelet,
-            format!("vecadd[{idx}]"),
+            format_args!("vecadd[{idx}]"),
             vecadd_flops(len),
-            vec![rw(a), read(b)],
-            execution_group.clone(),
-        );
+            [rw(a), read(b)],
+            execution_group.as_deref(),
+        )
+        .expect(BUILT_HERE);
     }
     g
 }
@@ -164,13 +178,7 @@ pub fn stencil_graph(n: usize, strips: usize, sweeps: usize) -> TaskGraph {
         let src = &buffers[sweep % 2];
         let dst = &buffers[(sweep + 1) % 2];
         for s in 0..strips {
-            let mut accesses = vec![
-                read(src[s]),
-                DataAccess {
-                    handle: dst[s],
-                    mode: AccessMode::Write,
-                },
-            ];
+            let mut accesses = vec![read(src[s]), write(dst[s])];
             if s > 0 {
                 accesses.push(read(src[s - 1]));
             }
@@ -179,11 +187,12 @@ pub fn stencil_graph(n: usize, strips: usize, sweeps: usize) -> TaskGraph {
             }
             g.submit(
                 codelet,
-                format!("jacobi[{sweep},{s}]"),
+                format_args!("jacobi[{sweep},{s}]"),
                 strip_flops,
                 accesses,
                 None,
-            );
+            )
+            .expect(BUILT_HERE);
         }
     }
     g
@@ -205,17 +214,12 @@ pub fn spmv_graph(n: usize, strips: usize) -> TaskGraph {
         let y_strip = g.register_data(format!("y[{idx}]"), vector_bytes(hi - lo));
         g.submit(
             codelet,
-            format!("spmv[{idx}]"),
+            format_args!("spmv[{idx}]"),
             matrix.strip_flops(lo, hi),
-            vec![
-                read(x),
-                DataAccess {
-                    handle: y_strip,
-                    mode: AccessMode::Write,
-                },
-            ],
+            [read(x), write(y_strip)],
             None,
-        );
+        )
+        .expect(BUILT_HERE);
     }
     g
 }
@@ -238,25 +242,18 @@ pub fn reduce_graph(n: usize, chunks: usize) -> TaskGraph {
         let partial = g.register_data(format!("part[{idx}]"), 8.0);
         g.submit(
             codelet,
-            format!("partial[{idx}]"),
+            format_args!("partial[{idx}]"),
             reduce_flops(len),
-            vec![
-                read(input),
-                DataAccess {
-                    handle: partial,
-                    mode: AccessMode::Write,
-                },
-            ],
+            [read(input), write(partial)],
             None,
-        );
+        )
+        .expect(BUILT_HERE);
         partials.push(partial);
     }
     let mut accesses: Vec<DataAccess> = partials.into_iter().map(read).collect();
-    accesses.push(DataAccess {
-        handle: result,
-        mode: AccessMode::Write,
-    });
-    g.submit(codelet, "combine", reduce_flops(chunks), accesses, None);
+    accesses.push(write(result));
+    g.submit(codelet, "combine", reduce_flops(chunks), accesses, None)
+        .expect(BUILT_HERE);
     g
 }
 
@@ -278,40 +275,39 @@ pub fn fork_join_graph(width: usize, stages: usize, execution_group: Option<Stri
     let codelet = g.add_codelet(Codelet::new("I_forkjoin").with_variant(Variant::new("x86")));
     let flops = 1000.0;
 
+    let group = execution_group.as_deref();
+    // Reused across stages: the join's accesses are every partial of its
+    // stage plus its own output.
+    let mut join_accesses: Vec<DataAccess> = Vec::with_capacity(width + 1);
     let mut join_prev: Option<HandleId> = None;
     for s in 0..stages {
         let join = g.register_data(format!("join[{s}]"), 8.0);
-        let mut partials = Vec::with_capacity(width);
+        join_accesses.clear();
         for i in 0..width {
             let partial = g.register_data(format!("part[{s}][{i}]"), 8.0);
-            let mut accesses = vec![DataAccess {
-                handle: partial,
-                mode: AccessMode::Write,
-            }];
-            if let Some(prev) = join_prev {
-                accesses.push(read(prev));
-            }
+            let (accesses, len) = match join_prev {
+                Some(prev) => ([write(partial), read(prev)], 2),
+                None => ([write(partial); 2], 1),
+            };
             g.submit(
                 codelet,
-                format!("fork[{s}][{i}]"),
+                format_args!("fork[{s}][{i}]"),
                 flops,
-                accesses,
-                execution_group.clone(),
-            );
-            partials.push(partial);
+                &accesses[..len],
+                group,
+            )
+            .expect(BUILT_HERE);
+            join_accesses.push(read(partial));
         }
-        let mut accesses: Vec<DataAccess> = partials.into_iter().map(read).collect();
-        accesses.push(DataAccess {
-            handle: join,
-            mode: AccessMode::Write,
-        });
+        join_accesses.push(write(join));
         g.submit(
             codelet,
-            format!("join[{s}]"),
+            format_args!("join[{s}]"),
             flops,
-            accesses,
-            execution_group.clone(),
-        );
+            &join_accesses,
+            group,
+        )
+        .expect(BUILT_HERE);
         join_prev = Some(join);
     }
     g
@@ -356,7 +352,7 @@ mod tests {
         assert!(g
             .tasks
             .iter()
-            .all(|t| t.execution_group.as_deref() == Some("gpus")));
+            .all(|t| g.execution_group(t.id) == Some("gpus")));
     }
 
     #[test]
@@ -404,7 +400,7 @@ mod tests {
         assert_eq!(g.tasks.len(), stages * (width + 1));
         for s in 0..stages {
             let join = &g.tasks[s * (width + 1) + width];
-            assert_eq!(join.label, format!("join[{s}]"));
+            assert_eq!(g.label(join.id), format!("join[{s}]"));
             // The join waits on every fork of its stage.
             assert_eq!(g.dependencies(join.id).len(), width);
             // Stage s forks wait on the previous join (and nothing else).
@@ -416,7 +412,8 @@ mod tests {
                 } else {
                     assert_eq!(deps, vec![g.tasks[(s - 1) * (width + 1) + width].id]);
                 }
-                assert_eq!(fork.execution_group.as_deref(), Some("cpus"));
+                assert_eq!(g.label(fork.id), format!("fork[{s}][{i}]"));
+                assert_eq!(g.execution_group(fork.id), Some("cpus"));
             }
         }
     }

@@ -30,6 +30,7 @@
 
 use hetero_rt::data::AccessMode;
 use hetero_rt::graph::TaskGraph;
+use hetero_rt::task::DataAccess;
 use hetero_trace::RunTrace;
 use pdl_core::diag::{Diagnostic, Report};
 use std::collections::BTreeMap;
@@ -77,7 +78,7 @@ pub fn check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
         }
         for task in &graph.tasks {
             graph_span[task.id.0] = by_label
-                .get_mut(task.label.as_str())
+                .get_mut(graph.label(task.id))
                 .and_then(std::vec::Vec::pop);
         }
     }
@@ -90,10 +91,11 @@ pub fn check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
                     "T002",
                     format!(
                         "declared task {} (\"{}\") never executed in the trace",
-                        task.id, task.label
+                        task.id,
+                        graph.label(task.id)
                     ),
                 )
-                .with_subject(task.label.clone()),
+                .with_subject(graph.label(task.id)),
             );
         }
     }
@@ -114,14 +116,14 @@ pub fn check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
                         format!(
                             "task {} (\"{}\") started at {} before its declared dependency {} (\"{}\") finished at {}",
                             task.id,
-                            task.label,
+                            graph.label(task.id),
                             spans[si].start,
                             dep,
-                            graph.tasks[dep.0].label,
+                            graph.label(dep),
                             spans[di].end
                         ),
                     )
-                    .with_subject(task.label.clone()),
+                    .with_subject(graph.label(task.id)),
                 );
             }
         }
@@ -133,7 +135,7 @@ pub fn check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
         let Some(si) = graph_span[task.id.0] else {
             continue;
         };
-        let declared = task.execution_group.as_deref().or_else(|| {
+        let declared = graph.execution_group(task.id).or_else(|| {
             trace
                 .meta
                 .tasks
@@ -154,13 +156,13 @@ pub fn check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
                         format!(
                             "task {} (\"{}\") is pinned to execution group \"{}\" but ran on lane {} of group \"{}\"",
                             task.id,
-                            task.label,
+                            graph.label(task.id),
                             declared,
                             spans[si].worker,
                             lane_group
                         ),
                     )
-                    .with_subject(task.label.clone()),
+                    .with_subject(graph.label(task.id)),
                 );
             }
         }
@@ -181,7 +183,7 @@ pub fn check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
             let Some(sb) = graph_span[b.id.0] else {
                 continue;
             };
-            let Some(handle) = conflict(a, b) else {
+            let Some(handle) = conflict(graph.accesses(a.id), graph.accesses(b.id)) else {
                 continue;
             };
             let ordered = vc_leq(&clocks[sa], &clocks[sb]) || vc_leq(&clocks[sb], &clocks[sa]);
@@ -191,10 +193,10 @@ pub fn check_trace(trace: &RunTrace, graph: &TaskGraph) -> Report {
                         "T005",
                         format!(
                             "tasks {} (\"{}\") and {} (\"{}\") both access data handle {} with a write but are unordered in the observed schedule: a data race",
-                            a.id, a.label, b.id, b.label, handle
+                            a.id, graph.label(a.id), b.id, graph.label(b.id), handle
                         ),
                     )
-                    .with_subject(a.label.clone()),
+                    .with_subject(graph.label(a.id)),
                 );
             }
         }
@@ -385,10 +387,10 @@ pub fn analyze_trace_source(
     report
 }
 
-/// First shared handle two tasks access conflictingly (≥ 1 write).
-fn conflict(a: &hetero_rt::task::Task, b: &hetero_rt::task::Task) -> Option<usize> {
-    for aa in &a.accesses {
-        for ba in &b.accesses {
+/// First shared handle two tasks' accesses touch conflictingly (≥ 1 write).
+fn conflict(a: &[DataAccess], b: &[DataAccess]) -> Option<usize> {
+    for aa in a {
+        for ba in b {
             if aa.handle == ba.handle
                 && (aa.mode != AccessMode::Read || ba.mode != AccessMode::Read)
             {
@@ -490,7 +492,8 @@ mod tests {
                 mode: AccessMode::Write,
             }],
             None,
-        );
+        )
+        .unwrap();
         g.submit(
             c,
             "b",
@@ -500,7 +503,8 @@ mod tests {
                 mode: AccessMode::ReadWrite,
             }],
             None,
-        );
+        )
+        .unwrap();
         g
     }
 
@@ -512,9 +516,9 @@ mod tests {
                 .tasks
                 .iter()
                 .map(|t| TaskInfo {
-                    label: t.label.clone(),
+                    label: graph.label(t.id).to_owned(),
                     category: "task".into(),
-                    group: t.execution_group.clone(),
+                    group: graph.execution_group(t.id).map(str::to_owned),
                 })
                 .collect(),
             time_unit: hetero_trace::TimeUnit::default(),
@@ -598,7 +602,8 @@ mod tests {
     fn group_violation_is_t004() {
         let mut g = TaskGraph::new();
         let c = g.add_codelet(Codelet::new("k"));
-        g.submit(c, "pinned", 1.0, Vec::new(), Some("gpus".into()));
+        g.submit(c, "pinned", 1.0, Vec::new(), Some("gpus"))
+            .unwrap();
         let trace = RunTrace {
             meta: meta_for(
                 &g,
@@ -630,7 +635,8 @@ mod tests {
                 mode: AccessMode::Write,
             }],
             None,
-        );
+        )
+        .unwrap();
         g.submit(
             c,
             "b",
@@ -640,7 +646,8 @@ mod tests {
                 mode: AccessMode::Write,
             }],
             None,
-        );
+        )
+        .unwrap();
         let trace = RunTrace {
             meta: meta_for(&g, vec![LaneLabel::default(), LaneLabel::default()]),
             prelude: Vec::new(),
@@ -786,7 +793,8 @@ mod tests {
                 mode: AccessMode::Write,
             }],
             None,
-        );
+        )
+        .unwrap();
         g.submit(
             k,
             "consume",
@@ -796,7 +804,8 @@ mod tests {
                 mode: AccessMode::Read,
             }],
             None,
-        );
+        )
+        .unwrap();
         let report = simulate(
             &g,
             &machine,

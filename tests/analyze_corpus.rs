@@ -241,7 +241,7 @@ mod fig5_replay {
             })
             .next()
             .expect("fig5 graph has dependencies");
-        let label_of = |task: TaskId| graph.tasks[task.0].label.clone();
+        let label_of = |task: TaskId| graph.label(task).to_owned();
         let trace_id = |label: &str| -> u32 {
             trace
                 .meta

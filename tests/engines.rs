@@ -69,10 +69,10 @@ fn dependency_edges_match_between_graph_and_threaded_form() {
         let tk = t_index % tiles;
         let deps = graph.dependencies(task.id);
         if tk == 0 {
-            assert!(deps.is_empty(), "{}: {deps:?}", task.label);
+            assert!(deps.is_empty(), "{}: {deps:?}", graph.label(task.id));
         } else {
-            assert_eq!(deps.len(), 1, "{}", task.label);
-            assert_eq!(deps[0].0, t_index - 1, "{}", task.label);
+            assert_eq!(deps.len(), 1, "{}", graph.label(task.id));
+            assert_eq!(deps[0].0, t_index - 1, "{}", graph.label(task.id));
         }
     }
 }

@@ -212,7 +212,8 @@ fn arb_graph() -> impl Strategy<Value = TaskGraph> {
                         mode,
                     }],
                     None,
-                );
+                )
+                .unwrap();
             }
             g
         })
