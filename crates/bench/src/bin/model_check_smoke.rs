@@ -19,6 +19,7 @@
 //! With `--out`, writes `BENCH_model_check.json` into DIR (CI uploads it
 //! as an artifact).
 
+use bench::smoke::Smoke;
 use hetero_model::explore::{explore, replay_violates, Bounds};
 use hetero_model::model::Mutation;
 use hetero_trace::json::Json;
@@ -44,29 +45,11 @@ const MINIMAL_TRACE: [(Mutation, usize); 5] = [
     (Mutation::MoveNotCopy, 1),
 ];
 
-fn check(ok: bool, what: &str, failures: &mut u32) {
-    if ok {
-        println!("  ok   {what}");
-    } else {
-        println!("  FAIL {what}");
-        *failures += 1;
-    }
-}
-
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let mut out_dir: Option<std::path::PathBuf> = None;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out_dir = args.next().map(Into::into),
-            other => {
-                eprintln!("unknown argument {other:?}; usage: model_check_smoke [--out DIR]");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let Some(mut smoke) = Smoke::from_args("model_check_smoke") else {
+        return ExitCode::FAILURE;
+    };
 
-    let mut failures = 0u32;
     let configs = bounded_configs();
     let start = std::time::Instant::now();
 
@@ -76,34 +59,27 @@ fn main() -> ExitCode {
         max_states: 4_000_000,
     };
     let (report, outcomes) = check_configs(&configs, &full, Mutation::None);
-    check(
+    smoke.check(
         report.is_empty(),
         "faithful protocol explores with zero violations",
-        &mut failures,
     );
     if !report.is_empty() {
         println!("{}", report.render());
     }
     for o in &outcomes {
         let ex = &o.exploration;
-        check(
+        smoke.check(
             ex.complete,
             &format!("{}: bounded space fully enumerated", o.config),
-            &mut failures,
         );
         match PINNED.iter().find(|(name, _, _)| *name == o.config) {
-            None => check(
-                false,
-                &format!("{}: config has a pin", o.config),
-                &mut failures,
-            ),
-            Some((_, states, transitions)) => check(
+            None => smoke.check(false, &format!("{}: config has a pin", o.config)),
+            Some((_, states, transitions)) => smoke.check(
                 ex.states == *states && ex.transitions == *transitions,
                 &format!(
                     "{}: {} states / {} transitions match pins ({states} / {transitions})",
                     o.config, ex.states, ex.transitions
                 ),
-                &mut failures,
             ),
         }
     }
@@ -124,7 +100,7 @@ fn main() -> ExitCode {
                     && v.trace.len() <= min_len
                     && replay_violates(&model, &quick, &v.trace, v.invariant).is_some()
             });
-            check(
+            smoke.check(
                 caught,
                 &format!(
                     "{}: {} caught as {} with ≤{min_len}-action replayable trace",
@@ -132,7 +108,6 @@ fn main() -> ExitCode {
                     mutation.name(),
                     mutation.expected_code().unwrap()
                 ),
-                &mut failures,
             );
         }
     }
@@ -144,43 +119,25 @@ fn main() -> ExitCode {
         elapsed
     );
 
-    if let Some(dir) = out_dir {
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-        let mut json = model_check_json(&outcomes, elapsed);
-        if let Json::Obj(members) = &mut json {
-            members.push(("failures".into(), Json::Num(f64::from(failures))));
-            members.push((
-                "pins".into(),
-                Json::Arr(
-                    PINNED
-                        .iter()
-                        .map(|(name, states, transitions)| {
-                            Json::Obj(vec![
-                                ("name".into(), Json::str(*name)),
-                                ("states".into(), Json::Num(*states as f64)),
-                                ("transitions".into(), Json::Num(*transitions as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        let path = dir.join("BENCH_model_check.json");
-        if let Err(e) = std::fs::write(&path, json.to_pretty()) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {}", path.display());
+    let mut json = model_check_json(&outcomes, elapsed);
+    if let Json::Obj(members) = &mut json {
+        members.push(("failures".into(), Json::Num(f64::from(smoke.failures()))));
+        members.push((
+            "pins".into(),
+            Json::Arr(
+                PINNED
+                    .iter()
+                    .map(|(name, states, transitions)| {
+                        Json::Obj(vec![
+                            ("name".into(), Json::str(*name)),
+                            ("states".into(), Json::Num(*states as f64)),
+                            ("transitions".into(), Json::Num(*transitions as f64)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ));
     }
-
-    if failures == 0 {
-        println!("model_check_smoke: PASS");
-        ExitCode::SUCCESS
-    } else {
-        println!("model_check_smoke: FAIL ({failures} failed check(s))");
-        ExitCode::FAILURE
-    }
+    smoke.write_artifacts(&[("BENCH_model_check.json", &json.to_pretty())]);
+    smoke.finish()
 }

@@ -20,20 +20,12 @@
 //! document for the fixture pair) into DIR — CI uploads it as an artifact.
 
 use bench::ablations::testbed_with_pcie;
+use bench::smoke::Smoke;
 use hetero_rt::prelude::*;
 use hetero_trace::anomaly::{detect, AnomalyConfig};
 use hetero_trace::{codec, diff};
 use simhw::machine::SimMachine;
 use std::process::ExitCode;
-
-fn check(ok: bool, what: &str, failures: &mut u32) {
-    if ok {
-        println!("  ok   {what}");
-    } else {
-        println!("  FAIL {what}");
-        *failures += 1;
-    }
-}
 
 fn load_fixture(name: &str) -> Result<(hetero_trace::RunTrace, Vec<(u32, u32)>), String> {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -44,19 +36,9 @@ fn load_fixture(name: &str) -> Result<(hetero_trace::RunTrace, Vec<(u32, u32)>),
 }
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let mut out_dir: Option<std::path::PathBuf> = None;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out_dir = args.next().map(Into::into),
-            other => {
-                eprintln!("unknown argument {other:?}; usage: perf_diff_smoke [--out DIR]");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let mut failures = 0u32;
+    let Some(mut smoke) = Smoke::from_args("perf_diff_smoke") else {
+        return ExitCode::FAILURE;
+    };
 
     // 1. Fixture pair with an injected transfer regression.
     let ((base, base_deps), (head, head_deps)) = match (
@@ -66,17 +48,14 @@ fn main() -> ExitCode {
         (Ok(b), Ok(h)) => (b, h),
         (b, h) => {
             for r in [b.err(), h.err()].into_iter().flatten() {
-                println!("  FAIL load fixture: {r}");
+                smoke.check(false, &format!("load fixture: {r}"));
             }
-            return ExitCode::FAILURE;
+            return smoke.finish();
         }
     };
     let d = match diff::perf_diff(&base, &base_deps, &head, &head_deps) {
         Ok(d) => d,
-        Err(e) => {
-            println!("  FAIL perf_diff on fixture pair: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return smoke.abort(&format!("perf_diff on fixture pair: {e}")),
     };
     println!(
         "perf_diff_smoke: fixture pair wall {} -> {} ns (delta {:+} ns)",
@@ -84,37 +63,26 @@ fn main() -> ExitCode {
         d.head_wall_ns,
         d.delta_ns()
     );
-    check(
-        d.delta_ns() > 0,
-        "injected regression slows the head run",
-        &mut failures,
-    );
+    smoke.check(d.delta_ns() > 0, "injected regression slows the head run");
     let category_sum: i64 = d.categories.iter().map(diff::CategoryDelta::delta_ns).sum();
-    check(
+    smoke.check(
         category_sum == d.delta_ns(),
         "category deltas sum exactly to the wall-clock delta",
-        &mut failures,
     );
     let top = d.top_regression();
-    check(
+    smoke.check(
         top.map(|c| c.category.as_str()) == Some("transfer/PCIe:host-gpu0"),
         "top regression is blamed on transfer/PCIe:host-gpu0",
-        &mut failures,
     );
     let anomalies = detect(&head, &AnomalyConfig::default());
-    check(
+    smoke.check(
         anomalies
             .iter()
             .any(|a| a.code == "A004" && a.subject == "PCIe:host-gpu0"),
         "head run raises A004 (saturated link) on PCIe:host-gpu0",
-        &mut failures,
     );
     let base_anomalies = detect(&base, &AnomalyConfig::default());
-    check(
-        base_anomalies.is_empty(),
-        "base run is anomaly-free",
-        &mut failures,
-    );
+    smoke.check(base_anomalies.is_empty(), "base run is anomaly-free");
 
     // 2. Live simulation pair: healthy vs degraded PCIe on the Fig. 5
     //    testbed. Sim traces renumber tasks, so the diff runs without
@@ -171,20 +139,18 @@ fn main() -> ExitCode {
                 live.head_wall_ns,
                 live.delta_ns()
             );
-            check(
+            smoke.check(
                 live.delta_ns() > 0,
                 "degrading PCIe 32 -> 2 GB/s slows the simulated run",
-                &mut failures,
             );
             let live_sum: i64 = live
                 .categories
                 .iter()
                 .map(diff::CategoryDelta::delta_ns)
                 .sum();
-            check(
+            smoke.check(
                 live_sum == live.delta_ns(),
                 "live-pair category deltas stay sum-exact",
-                &mut failures,
             );
             if let Some(top) = live.top_regression() {
                 println!(
@@ -194,35 +160,9 @@ fn main() -> ExitCode {
                 );
             }
         }
-        Err(e) => check(
-            false,
-            &format!("perf_diff on live sim pair ({e})"),
-            &mut failures,
-        ),
+        Err(e) => smoke.check(false, &format!("perf_diff on live sim pair ({e})")),
     }
 
-    if let Some(dir) = out_dir {
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            println!("  FAIL create {dir:?}: {e}");
-            failures += 1;
-        } else {
-            let path = dir.join("BENCH_perf_diff.json");
-            match std::fs::write(&path, d.to_json().to_pretty()) {
-                Ok(()) => println!("  ok   wrote {}", path.display()),
-                Err(e) => check(
-                    false,
-                    &format!("write BENCH_perf_diff.json ({e})"),
-                    &mut failures,
-                ),
-            }
-        }
-    }
-
-    if failures == 0 {
-        println!("perf_diff_smoke: all checks passed");
-        ExitCode::SUCCESS
-    } else {
-        println!("perf_diff_smoke: {failures} check(s) FAILED");
-        ExitCode::FAILURE
-    }
+    smoke.write_artifacts(&[("BENCH_perf_diff.json", &d.to_json().to_pretty())]);
+    smoke.finish()
 }

@@ -18,6 +18,7 @@
 //! `BENCH_profile_smoke.json` (the profile document) into DIR — CI
 //! uploads both as artifacts.
 
+use bench::smoke::Smoke;
 use hetero_rt::thread_engine::{from_graph, ThreadTask, ThreadedExecutor};
 use hetero_trace::{codec, profile, TraceSink};
 use std::process::ExitCode;
@@ -29,27 +30,10 @@ const STAGES: usize = 24;
 /// Worker threads.
 const WORKERS: usize = 4;
 
-fn check(ok: bool, what: &str, failures: &mut u32) {
-    if ok {
-        println!("  ok   {what}");
-    } else {
-        println!("  FAIL {what}");
-        *failures += 1;
-    }
-}
-
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let mut out_dir: Option<std::path::PathBuf> = None;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out_dir = args.next().map(Into::into),
-            other => {
-                eprintln!("unknown argument {other:?}; usage: profile_smoke [--out DIR]");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let Some(mut smoke) = Smoke::from_args("profile_smoke") else {
+        return ExitCode::FAILURE;
+    };
 
     let graph = kernels::graphs::fork_join_graph(WIDTH, STAGES, None);
     let tasks: Vec<ThreadTask> = from_graph(&graph, |t| {
@@ -73,7 +57,6 @@ fn main() -> ExitCode {
         .expect("workload runs");
     let trace = report.trace.as_ref().expect("ring sink collects a trace");
 
-    let mut failures = 0u32;
     println!(
         "profile_smoke: {} tasks, {} dep edges, {} workers",
         n_tasks,
@@ -85,23 +68,16 @@ fn main() -> ExitCode {
     let exported = codec::export(trace, &deps);
     let (parsed, parsed_deps) = match codec::parse(&exported) {
         Ok(p) => p,
-        Err(e) => {
-            println!("  FAIL trace codec round-trip: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return smoke.abort(&format!("trace codec round-trip: {e}")),
     };
-    check(
+    smoke.check(
         parsed_deps == deps,
         "dependency edges survive the codec round-trip",
-        &mut failures,
     );
 
     let p = match profile::critical_path(&parsed, &parsed_deps) {
         Ok(p) => p,
-        Err(e) => {
-            println!("  FAIL critical_path: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return smoke.abort(&format!("critical_path: {e}")),
     };
     println!(
         "  critical path {} ns over {} steps, makespan {} ns",
@@ -115,92 +91,49 @@ fn main() -> ExitCode {
         && p.steps.first().map(|s| s.start) == Some(p.start_ns)
         && p.steps.last().map(|s| s.end) == Some(p.makespan_ns)
         && p.steps.windows(2).all(|w| w[0].end == w[1].start);
-    check(
-        tiles,
-        "steps tile [start_ns, makespan_ns] contiguously",
-        &mut failures,
-    );
+    smoke.check(tiles, "steps tile [start_ns, makespan_ns] contiguously");
 
     // 2. Blame sums to exactly the critical-path length (and shares to 1).
     let blamed: u64 = p.blame.iter().map(|b| b.ns).sum();
-    check(
+    smoke.check(
         blamed == p.critical_path_ns(),
         "blame sums to 100% of the critical path",
-        &mut failures,
     );
     let share_sum: f64 = p.blame.iter().map(|b| b.share).sum();
-    check(
-        (share_sum - 1.0).abs() < 1e-9,
-        "blame shares sum to 1.0",
-        &mut failures,
-    );
+    smoke.check((share_sum - 1.0).abs() < 1e-9, "blame shares sum to 1.0");
 
     // 3. The chain is non-empty and ends at the last span to finish.
     let chain = p.chain_tasks();
-    check(
-        !chain.is_empty(),
-        "chain has at least one task",
-        &mut failures,
-    );
-    check(
+    smoke.check(!chain.is_empty(), "chain has at least one task");
+    smoke.check(
         p.steps
             .last()
             .map(|s| s.category.starts_with("compute/") || s.category.starts_with("transfer/"))
             .unwrap_or(false),
         "chain ends on the span that set the makespan",
-        &mut failures,
     );
     // A fork-join graph's chain must cross several stages: at least one
     // compute step per join barrier is impossible to skip.
-    check(
-        chain.len() >= 2,
-        "fork-join chain spans multiple tasks",
-        &mut failures,
-    );
+    smoke.check(chain.len() >= 2, "fork-join chain spans multiple tasks");
 
     // 4. Folded stacks cover every group that ran work.
     let folded = profile::folded_stacks(&parsed);
-    check(
-        !folded.is_empty(),
-        "folded stacks are non-empty",
-        &mut failures,
-    );
+    smoke.check(!folded.is_empty(), "folded stacks are non-empty");
     let folded_total: u64 = folded
         .lines()
         .filter_map(|l| l.rsplit(' ').next())
         .filter_map(|w| w.parse::<u64>().ok())
         .sum();
     let busy_total: u64 = parsed.task_spans().iter().map(|s| s.end - s.start).sum();
-    check(
+    smoke.check(
         folded_total == busy_total,
         "folded stack weights sum to total busy time",
-        &mut failures,
     );
 
-    if let Some(dir) = out_dir {
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            println!("  FAIL create {dir:?}: {e}");
-            failures += 1;
-        } else {
-            let json = profile::to_json(&p).to_pretty();
-            for (name, text) in [
-                ("profile_smoke.folded", &folded),
-                ("BENCH_profile_smoke.json", &json),
-            ] {
-                let path = dir.join(name);
-                match std::fs::write(&path, text) {
-                    Ok(()) => println!("  ok   wrote {}", path.display()),
-                    Err(e) => check(false, &format!("write {name} ({e})"), &mut failures),
-                }
-            }
-        }
-    }
-
-    if failures == 0 {
-        println!("profile_smoke: all checks passed");
-        ExitCode::SUCCESS
-    } else {
-        println!("profile_smoke: {failures} check(s) FAILED");
-        ExitCode::FAILURE
-    }
+    let json = profile::to_json(&p).to_pretty();
+    smoke.write_artifacts(&[
+        ("profile_smoke.folded", &folded),
+        ("BENCH_profile_smoke.json", &json),
+    ]);
+    smoke.finish()
 }

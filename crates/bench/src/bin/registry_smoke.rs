@@ -17,6 +17,7 @@
 //! With `--out`, writes `BENCH_registry_smoke.json` into DIR (CI uploads
 //! it as an artifact).
 
+use bench::smoke::Smoke;
 use hetero_trace::json::Json;
 use pdl_core::property::Property;
 use pdl_discover::catalog::Catalog;
@@ -26,76 +27,52 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-fn check(ok: bool, what: &str, failures: &mut u32) {
-    if ok {
-        println!("  ok   {what}");
-    } else {
-        println!("  FAIL {what}");
-        *failures += 1;
-    }
-}
-
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let mut out_dir: Option<std::path::PathBuf> = None;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out_dir = args.next().map(Into::into),
-            other => {
-                eprintln!("unknown argument {other:?}; usage: registry_smoke [--out DIR]");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let Some(mut smoke) = Smoke::from_args("registry_smoke") else {
+        return ExitCode::FAILURE;
+    };
 
-    let mut failures = 0u32;
     let catalog = Catalog::with_builtin_platforms();
     let reg = Arc::new(Registry::new());
 
     // 1. Publish + idempotence.
     let first = catalog.publish_into(&reg);
-    check(
+    smoke.check(
         first.iter().all(|o| o.created),
         "first publish creates every series",
-        &mut failures,
     );
     let again = catalog.publish_into(&reg);
-    check(
+    smoke.check(
         again.iter().all(|o| !o.created),
         "re-publishing the catalog is a no-op",
-        &mut failures,
     );
     let seeded = reg.snapshot();
-    check(
+    smoke.check(
         seeded.len() == catalog.len() && seeded.total_releases() == catalog.len(),
         "snapshot holds one release per catalog entry",
-        &mut failures,
     );
 
     // 2. Resolve / select / diff on the snapshot.
     let resolved = seeded.resolve_str("cell-be", "^1");
-    check(
+    smoke.check(
         resolved
             .as_ref()
             .map(|r| r.pin().starts_with("cell-be@1.0.0"))
             == Ok(true),
         "cell-be resolves at 1.0.0",
-        &mut failures,
     );
     let gpus = RequirementSet::new().with(Requirement::Architecture("gpu".into()));
     let hits = seeded.select(&gpus);
-    check(
+    smoke.check(
         hits.iter().any(|r| r.name == "xeon-x5550-gtx480-gtx285"),
         "capability select finds the GPU testbed",
-        &mut failures,
     );
-    check(
+    smoke.check(
         seeded
             .diff("cell-be", &VersionReq::Latest, &VersionReq::Latest)
             .map(|d| d.is_empty())
             == Ok(true),
         "self-diff is empty",
-        &mut failures,
     );
 
     // 3. Layered revision: order-insensitive composition, minor bump.
@@ -112,29 +89,25 @@ fn main() -> ExitCode {
     let mut rev_layers = layers.clone();
     rev_layers.reverse();
     let bwd = compose(base.platform.platform(), &rev_layers);
-    check(
+    smoke.check(
         pdl_registry::content_hash(&fwd) == pdl_registry::content_hash(&bwd),
         "layer composition order does not change the content address",
-        &mut failures,
     );
     let out = reg.publish(&fwd);
-    check(
+    smoke.check(
         out.created && out.compat == Some(Compatibility::Minor),
         "additive layered revision bumps minor",
-        &mut failures,
     );
-    check(
+    smoke.check(
         seeded.total_releases() == catalog.len(),
         "pinned snapshot is isolated from the publish",
-        &mut failures,
     );
-    check(
+    smoke.check(
         reg.snapshot()
             .resolve_str("xeon-x5550-8core", "latest")
             .map(|r| r.version.to_string())
             == Ok("1.1.0".to_string()),
         "new snapshot resolves the bumped version",
-        &mut failures,
     );
 
     // 4. Concurrent readers against a mutating registry.
@@ -174,7 +147,7 @@ fn main() -> ExitCode {
             Err(e) => reader_err = Some(e),
         }
     }
-    check(
+    smoke.check(
         reader_err.is_none(),
         &format!(
             "concurrent readers stay consistent ({total_reads} reads{})",
@@ -183,37 +156,18 @@ fn main() -> ExitCode {
                 .map(|e| format!(": {e}"))
                 .unwrap_or_default()
         ),
-        &mut failures,
     );
-    check(total_reads > 0, "readers made progress", &mut failures);
+    smoke.check(total_reads > 0, "readers made progress");
 
     let final_snap = reg.snapshot();
-    if let Some(dir) = out_dir {
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            println!("  FAIL create {dir:?}: {e}");
-            failures += 1;
-        } else {
-            let doc = Json::obj([
-                ("kind", Json::str("registry-smoke")),
-                ("series", Json::Num(final_snap.len() as f64)),
-                ("releases", Json::Num(final_snap.total_releases() as f64)),
-                ("epoch", Json::Num(final_snap.epoch() as f64)),
-                ("concurrent_reads", Json::Num(total_reads as f64)),
-                ("failures", Json::Num(f64::from(failures))),
-            ]);
-            let path = dir.join("BENCH_registry_smoke.json");
-            match std::fs::write(&path, doc.to_pretty()) {
-                Ok(()) => println!("  ok   wrote {}", path.display()),
-                Err(e) => check(false, &format!("write smoke json ({e})"), &mut failures),
-            }
-        }
-    }
-
-    if failures == 0 {
-        println!("registry_smoke: all checks passed");
-        ExitCode::SUCCESS
-    } else {
-        println!("registry_smoke: {failures} check(s) FAILED");
-        ExitCode::FAILURE
-    }
+    let doc = Json::obj([
+        ("kind", Json::str("registry-smoke")),
+        ("series", Json::Num(final_snap.len() as f64)),
+        ("releases", Json::Num(final_snap.total_releases() as f64)),
+        ("epoch", Json::Num(final_snap.epoch() as f64)),
+        ("concurrent_reads", Json::Num(total_reads as f64)),
+        ("failures", Json::Num(f64::from(smoke.failures()))),
+    ]);
+    smoke.write_artifacts(&[("BENCH_registry_smoke.json", &doc.to_pretty())]);
+    smoke.finish()
 }

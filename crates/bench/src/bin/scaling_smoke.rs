@@ -24,49 +24,41 @@
 //! where the gated numbers come from the `engine_scaling`/`sim_scaling`
 //! benches instead).
 
+use bench::smoke::Smoke;
 use hetero_rt::prelude::*;
 use hetero_trace::json::Json;
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::Instant;
 
-fn check(ok: bool, what: &str, failures: &mut u32) {
-    if ok {
-        println!("  ok   {what}");
-    } else {
-        println!("  FAIL {what}");
-        *failures += 1;
-    }
-}
-
 fn main() -> ExitCode {
-    let mut out_dir: Option<std::path::PathBuf> = None;
     let mut min_tasks: usize = 1_000_000;
     let mut cap_secs: f64 = 120.0;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out_dir = args.next().map(Into::into),
-            "--tasks" => {
-                min_tasks = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--tasks takes a task count");
+    let parsed = Smoke::from_args_with(
+        "scaling_smoke",
+        " [--tasks N] [--cap-secs S]",
+        |flag, args| {
+            match flag {
+                "--tasks" => {
+                    min_tasks = args
+                        .next()
+                        .and_then(|v| v.parse().ok())
+                        .expect("--tasks takes a task count");
+                }
+                "--cap-secs" => {
+                    cap_secs = args
+                        .next()
+                        .and_then(|v| v.parse().ok())
+                        .expect("--cap-secs takes seconds");
+                }
+                _ => return false,
             }
-            "--cap-secs" => {
-                cap_secs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--cap-secs takes seconds");
-            }
-            other => {
-                eprintln!(
-                    "unknown argument {other:?}; usage: scaling_smoke [--out DIR] [--tasks N] [--cap-secs S]"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+            true
+        },
+    );
+    let Some(mut smoke) = parsed else {
+        return ExitCode::FAILURE;
+    };
 
     // Size the fork-join shape to reach at least `min_tasks` total tasks
     // (width forks + 1 join per stage).
@@ -77,12 +69,7 @@ fn main() -> ExitCode {
     println!(
         "scaling_smoke: fork-join {width}x{stages} = {tasks} tasks, cap {cap_secs}s per engine"
     );
-    let mut failures = 0u32;
-    check(
-        tasks >= min_tasks,
-        "graph reaches the requested task count",
-        &mut failures,
-    );
+    smoke.check(tasks >= min_tasks, "graph reaches the requested task count");
 
     // 1. Threaded engine, batched submission, per-task stats off.
     let pool = ThreadedExecutor::new(8).with_task_stats(false);
@@ -104,15 +91,10 @@ fn main() -> ExitCode {
         "  threaded: compile {compile_wall:?}, run {thread_wall:?} ({:.2}M tasks/s)",
         executed as f64 / thread_wall.as_secs_f64() / 1e6
     );
-    check(
-        executed == tasks,
-        "worker counters account for every task",
-        &mut failures,
-    );
-    check(
+    smoke.check(executed == tasks, "worker counters account for every task");
+    smoke.check(
         thread_wall.as_secs_f64() < cap_secs,
         "threaded engine fits the time cap",
-        &mut failures,
     );
 
     // 2. Sim engine, virtual time, dynamic scheduling.
@@ -131,75 +113,51 @@ fn main() -> ExitCode {
         tasks as f64 / sim_wall.as_secs_f64() / 1e6,
         sim.makespan.seconds()
     );
-    check(
-        sim.assignments.len() == tasks,
-        "sim schedules every task",
-        &mut failures,
-    );
-    check(
+    smoke.check(sim.assignments.len() == tasks, "sim schedules every task");
+    smoke.check(
         sim_wall.as_secs_f64() < cap_secs,
         "sim engine fits the time cap",
-        &mut failures,
     );
 
     // 3. A-series cleanliness of the million-event virtual-time trace.
     let trace = sim_report_to_trace(&sim, &machine);
-    check(
+    smoke.check(
         trace.validate().is_ok(),
         "bridged trace passes structural validation",
-        &mut failures,
     );
     let anomalies = pdl_analyze::check_trace_anomalies(&trace);
     if !anomalies.is_empty() {
         println!("{}", anomalies.render());
     }
-    check(
+    smoke.check(
         anomalies.is_empty(),
         "million-event trace is A-series clean",
-        &mut failures,
     );
 
-    if let Some(dir) = out_dir {
-        let doc = Json::obj([
-            (
-                "schema",
-                Json::Num(hetero_trace::summary::SCHEMA_VERSION as f64),
-            ),
-            ("kind", Json::str("scaling-smoke")),
-            ("tasks", Json::Num(tasks as f64)),
-            ("cap_secs", Json::Num(cap_secs)),
-            (
-                "threaded",
-                Json::obj([
-                    ("compile_ns", Json::Num(compile_wall.as_nanos() as f64)),
-                    ("run_ns", Json::Num(thread_wall.as_nanos() as f64)),
-                ]),
-            ),
-            (
-                "sim",
-                Json::obj([
-                    ("run_ns", Json::Num(sim_wall.as_nanos() as f64)),
-                    ("makespan_s", Json::Num(sim.makespan.seconds())),
-                ]),
-            ),
-            ("failures", Json::Num(f64::from(failures))),
-        ]);
-        let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join("BENCH_scaling_smoke.json");
-        match std::fs::write(&path, doc.to_pretty()) {
-            Ok(()) => println!("  wrote {}", path.display()),
-            Err(e) => {
-                println!("  FAIL could not write {}: {e}", path.display());
-                failures += 1;
-            }
-        }
-    }
-
-    if failures == 0 {
-        println!("scaling_smoke: all checks passed");
-        ExitCode::SUCCESS
-    } else {
-        println!("scaling_smoke: {failures} check(s) failed");
-        ExitCode::FAILURE
-    }
+    let doc = Json::obj([
+        (
+            "schema",
+            Json::Num(hetero_trace::summary::SCHEMA_VERSION as f64),
+        ),
+        ("kind", Json::str("scaling-smoke")),
+        ("tasks", Json::Num(tasks as f64)),
+        ("cap_secs", Json::Num(cap_secs)),
+        (
+            "threaded",
+            Json::obj([
+                ("compile_ns", Json::Num(compile_wall.as_nanos() as f64)),
+                ("run_ns", Json::Num(thread_wall.as_nanos() as f64)),
+            ]),
+        ),
+        (
+            "sim",
+            Json::obj([
+                ("run_ns", Json::Num(sim_wall.as_nanos() as f64)),
+                ("makespan_s", Json::Num(sim.makespan.seconds())),
+            ]),
+        ),
+        ("failures", Json::Num(f64::from(smoke.failures()))),
+    ]);
+    smoke.write_artifacts(&[("BENCH_scaling_smoke.json", &doc.to_pretty())]);
+    smoke.finish()
 }

@@ -18,32 +18,16 @@
 //! With `--out`, writes `trace_smoke_chrome.json` and
 //! `BENCH_trace_smoke.json` into DIR (CI uploads them as artifacts).
 
+use bench::smoke::Smoke;
 use hetero_rt::prelude::*;
 use hetero_trace::json::Json;
 use hetero_trace::{chrome, summary, TraceSink};
 use std::process::ExitCode;
 
-fn check(ok: bool, what: &str, failures: &mut u32) {
-    if ok {
-        println!("  ok   {what}");
-    } else {
-        println!("  FAIL {what}");
-        *failures += 1;
-    }
-}
-
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let mut out_dir: Option<std::path::PathBuf> = None;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out_dir = args.next().map(Into::into),
-            other => {
-                eprintln!("unknown argument {other:?}; usage: trace_smoke [--out DIR]");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let Some(mut smoke) = Smoke::from_args("trace_smoke") else {
+        return ExitCode::FAILURE;
+    };
 
     // A grouped fork-join workload on the paper's 2-GPU testbed: CPU-core
     // and GPU logic groups, with enough stages to force steals and parks.
@@ -72,7 +56,6 @@ fn main() -> ExitCode {
         .run(tasks)
         .expect("workload runs");
 
-    let mut failures = 0u32;
     println!(
         "trace_smoke: {} tasks on {} workers",
         n_tasks, report.workers
@@ -80,19 +63,13 @@ fn main() -> ExitCode {
 
     let trace = match report.trace.as_ref() {
         Some(t) => t,
-        None => {
-            println!("  FAIL no trace collected despite ring sink");
-            return ExitCode::FAILURE;
-        }
+        None => return smoke.abort("no trace collected despite ring sink"),
     };
 
     // 1. Structural invariants.
     let stats = match trace.validate() {
         Ok(s) => s,
-        Err(e) => {
-            println!("  FAIL trace invariants: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return smoke.abort(&format!("trace invariants: {e}")),
     };
     println!(
         "  ok   trace invariants hold ({} events)",
@@ -100,31 +77,26 @@ fn main() -> ExitCode {
     );
 
     // 2. Exact reconciliation with the engine's report.
-    check(
+    smoke.check(
         stats.tasks as usize == n_tasks,
         "every task has exactly one start/end pair",
-        &mut failures,
     );
-    check(
+    smoke.check(
         stats.tasks as usize == report.tasks.len(),
         "trace task count == report task count",
-        &mut failures,
     );
-    check(
+    smoke.check(
         stats.steals == report.total_steals() as u64,
         "trace steal events == report steal counter",
-        &mut failures,
     );
-    check(
+    smoke.check(
         stats.cross_group_steals == report.total_cross_group_steals() as u64,
         "trace cross-group steals == report counter",
-        &mut failures,
     );
     let busy_total: u64 = stats.busy_ns.iter().sum();
-    check(
+    smoke.check(
         busy_total == report.total_busy().as_nanos() as u64,
         "trace busy time == report busy time",
-        &mut failures,
     );
 
     // 3. Exports re-parse and are PDL-labeled.
@@ -134,7 +106,7 @@ fn main() -> ExitCode {
     match Json::parse(&chrome_text) {
         Ok(doc) => {
             let events = doc.get("traceEvents").map(|e| e.items().len()).unwrap_or(0);
-            check(events > 0, "chrome trace parses with events", &mut failures);
+            smoke.check(events > 0, "chrome trace parses with events");
             let lanes = doc
                 .get("traceEvents")
                 .map(|e| {
@@ -152,29 +124,27 @@ fn main() -> ExitCode {
                         .count()
                 })
                 .unwrap_or(0);
-            check(
+            smoke.check(
                 lanes >= report.workers,
                 "one group-labeled lane per worker in chrome trace",
-                &mut failures,
             );
         }
-        Err(e) => check(false, &format!("chrome trace parses ({e})"), &mut failures),
+        Err(e) => smoke.check(false, &format!("chrome trace parses ({e})")),
     }
     match Json::parse(&summary_text) {
         Ok(doc) => {
-            check(
+            smoke.check(
                 doc.get("invariant_error") == Some(&Json::Null),
                 "summary reports no invariant error",
-                &mut failures,
             );
             let totals_ok = doc
                 .get("totals")
                 .and_then(|t| t.get("tasks_executed"))
                 .and_then(Json::as_u64)
                 == Some(n_tasks as u64);
-            check(totals_ok, "summary totals match task count", &mut failures);
+            smoke.check(totals_ok, "summary totals match task count");
         }
-        Err(e) => check(false, &format!("summary parses ({e})"), &mut failures),
+        Err(e) => smoke.check(false, &format!("summary parses ({e})")),
     }
 
     // 4. Virtual-time pipeline: simulate with link-lane pipelining on the
@@ -222,15 +192,13 @@ fn main() -> ExitCode {
     )
     .expect("pipelined simulation runs");
     let vtrace = sim_report_to_trace(&sim, &machine);
-    check(
+    smoke.check(
         vtrace.validate().is_ok(),
         "virtual-time pipeline trace passes invariants",
-        &mut failures,
     );
-    check(
+    smoke.check(
         vtrace.meta.time_unit.label() == "virtual-ns",
         "bridged trace carries the virtual time unit",
-        &mut failures,
     );
     let link_lanes = vtrace
         .meta
@@ -238,45 +206,22 @@ fn main() -> ExitCode {
         .iter()
         .filter(|l| l.group.as_deref() == Some("links"))
         .count();
-    check(
+    smoke.check(
         link_lanes > 0,
         "pipelined trace has per-link transfer lanes",
-        &mut failures,
     );
-    check(
+    smoke.check(
         pdl_analyze::check_trace_links(&vtrace, &nv_platform).is_empty(),
         "T006: every transfer lane names a declared interconnect",
-        &mut failures,
     );
-    check(
+    smoke.check(
         pdl_analyze::check_trace(&vtrace, &pipeline_graph).is_empty(),
         "replay checks pass on the pipelined trace",
-        &mut failures,
     );
 
-    if let Some(dir) = out_dir {
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            println!("  FAIL create {dir:?}: {e}");
-            failures += 1;
-        } else {
-            for (name, text) in [
-                ("trace_smoke_chrome.json", &chrome_text),
-                ("BENCH_trace_smoke.json", &summary_text),
-            ] {
-                let path = dir.join(name);
-                match std::fs::write(&path, text) {
-                    Ok(()) => println!("  ok   wrote {}", path.display()),
-                    Err(e) => check(false, &format!("write {name} ({e})"), &mut failures),
-                }
-            }
-        }
-    }
-
-    if failures == 0 {
-        println!("trace_smoke: all checks passed");
-        ExitCode::SUCCESS
-    } else {
-        println!("trace_smoke: {failures} check(s) FAILED");
-        ExitCode::FAILURE
-    }
+    smoke.write_artifacts(&[
+        ("trace_smoke_chrome.json", &chrome_text),
+        ("BENCH_trace_smoke.json", &summary_text),
+    ]);
+    smoke.finish()
 }

@@ -9,7 +9,8 @@
 //! * [`ablations`] — scheduler/transfer ablation helpers shared by the
 //!   Criterion benches;
 //! * [`regression`] — the base-vs-head `BENCH_*.json` comparison behind
-//!   the `bench_regression` CI gate.
+//!   the `bench_regression` CI gate;
+//! * [`smoke`] — the harness the `*_smoke` CI gate binaries share.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -18,3 +19,4 @@ pub mod ablations;
 pub mod fig5;
 pub mod portability;
 pub mod regression;
+pub mod smoke;

@@ -136,8 +136,14 @@ impl StrArena {
         }
     }
 
-    fn push(&mut self, s: impl fmt::Display) {
+    pub(crate) fn push(&mut self, s: impl fmt::Display) {
         write!(self.text, "{s}").expect("formatting into a String never fails");
+        self.ends.push(self.text.len());
+    }
+
+    /// Appends `s` without going through the formatter.
+    pub(crate) fn push_str(&mut self, s: &str) {
+        self.text.push_str(s);
         self.ends.push(self.text.len());
     }
 

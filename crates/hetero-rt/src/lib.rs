@@ -61,8 +61,8 @@ pub mod prelude {
     pub use crate::sim_engine::{simulate, RtError, SimOptions, SimReport, TransferPipeline};
     pub use crate::task::{Codelet, DataAccess, Task, TaskId, Variant};
     pub use crate::thread_engine::{
-        from_graph, ExecReport, Placement, PlacementGroup, SingleQueueExecutor, ThreadTask,
-        ThreadedExecutor, WorkerStats,
+        from_graph, ExecReport, Placement, PlacementGroup, ThreadTask, ThreadedExecutor,
+        WorkerStats,
     };
     pub use crate::trace_bridge::sim_report_to_trace;
     pub use hetero_trace::TraceSink;

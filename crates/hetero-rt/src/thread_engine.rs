@@ -29,12 +29,28 @@
 //! own group has run completely dry, so affinity is a strong preference,
 //! never a deadlock risk.
 //!
-//! The seed single-queue engine is preserved as [`SingleQueueExecutor`] —
-//! the baseline the `engine_scaling` bench measures against.
+//! # One runtime form
 //!
-//! Dependencies must point to earlier task indices (submission order), which
-//! guarantees acyclicity by construction — same rule as the graphs built by
-//! [`crate::graph::TaskGraph`].
+//! Every run executes a [`CompiledGraph`]: [`ThreadedExecutor::run`] lowers
+//! its [`ThreadTask`]s into one, [`ThreadedExecutor::run_compiled`] takes
+//! one from [`ThreadedExecutor::compile_graph`]. Both share one prologue,
+//! epilogue and task-body call site. Dependencies must point to earlier
+//! task indices, which makes every graph acyclic by construction.
+//!
+//! # Failure
+//!
+//! A task that panics fails the run: the first panic stops every worker
+//! from claiming further tasks, the bodies that never ran are dropped and
+//! the run returns [`ThreadEngineError::TaskPanicked`]. No dependent of the
+//! panicked task runs, and the pool never hangs on it.
+//!
+//! # Baseline
+//!
+//! The seed single-queue engine is kept as [`SingleQueueExecutor`], the
+//! baseline the `engine_scaling` bench measures against. It is not in the
+//! crate prelude. It runs the same lowered [`CompiledGraph`] through the
+//! same prologue and epilogue; only its worker loop, which feeds every
+//! ready task through one shared channel, is its own.
 
 use crate::graph::{Csr, StrArena, TaskGraph};
 use crate::task::{Task, TaskId};
@@ -47,6 +63,7 @@ use hetero_trace::{
 };
 use parking_lot::Mutex;
 use pdl_core::platform::Platform;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
 use std::time::Duration as StdDuration;
@@ -218,7 +235,9 @@ impl ExecReport {
     }
 }
 
-/// Errors the threaded executors can report before running anything.
+/// Errors the threaded executors report: a malformed task list, group
+/// expression or placement, caught before anything runs, or a task that
+/// panicked while running.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ThreadEngineError {
     /// A dependency index points at the task itself or a later task.
@@ -250,6 +269,18 @@ pub enum ThreadEngineError {
         /// Group names the executing pool defines.
         executor: Vec<String>,
     },
+    /// A task's body panicked. The run stopped claiming tasks at the first
+    /// panic; no dependent of the panicked task ran, and the bodies that
+    /// never ran were dropped.
+    TaskPanicked {
+        /// The panicked task's index.
+        task: usize,
+        /// Its label.
+        label: String,
+        /// The panic message (`"non-string panic payload"` when the payload
+        /// was neither a `&str` nor a `String`).
+        message: String,
+    },
 }
 
 impl std::fmt::Display for ThreadEngineError {
@@ -270,6 +301,11 @@ impl std::fmt::Display for ThreadEngineError {
                 f,
                 "graph compiled for placement {compiled:?} cannot run on a pool with placement {executor:?}"
             ),
+            ThreadEngineError::TaskPanicked {
+                task,
+                label,
+                message,
+            } => write!(f, "task {task} ({label:?}) panicked: {message}"),
         }
     }
 }
@@ -386,85 +422,24 @@ pub fn from_graph(
 }
 
 // ---------------------------------------------------------------------------
-// Shared run plumbing
+// The runtime form and the run path both executors share
 // ---------------------------------------------------------------------------
 
 /// A task body, claimable exactly once by whichever worker executes it.
 type WorkSlot = Mutex<Option<Box<dyn FnOnce() + Send>>>;
 
-struct ValidatedTasks {
-    pending: Vec<AtomicUsize>,
-    dependents: Csr<TaskId>,
-    labels: Vec<String>,
-    work: Vec<WorkSlot>,
-}
-
-/// Borrowed view of one run's dependency state — the shape the workers
-/// actually touch. Both the owned [`ValidatedTasks`] (plain `run`) and a
-/// prebuilt [`CompiledGraph`] (batched `run_compiled`) project into this.
-#[derive(Clone, Copy)]
-struct RuntimeView<'a> {
-    pending: &'a [AtomicUsize],
-    dependents: &'a Csr<TaskId>,
-    work: &'a [WorkSlot],
-}
-
-impl RuntimeView<'_> {
-    fn dependents(&self, i: usize) -> &[TaskId] {
-        self.dependents.row(i)
-    }
-}
-
-impl ValidatedTasks {
-    fn view(&self) -> RuntimeView<'_> {
-        RuntimeView {
-            pending: &self.pending,
-            dependents: &self.dependents,
-            work: &self.work,
-        }
-    }
-}
-
-/// Validates dependency indices and builds the runtime representation:
-/// atomic pending counters plus the dependents CSR, which is the transpose
-/// of the tasks' sorted, de-duplicated dependency rows — the same builder
-/// [`TaskGraph`] uses.
-fn build_runtime(tasks: Vec<ThreadTask>) -> Result<ValidatedTasks, ThreadEngineError> {
-    for (i, t) in tasks.iter().enumerate() {
-        if let Some(&d) = t.deps.iter().find(|&&d| d >= i) {
-            return Err(ThreadEngineError::ForwardDependency { task: i, dep: d });
-        }
-    }
-    let n = tasks.len();
-    let mut dependencies = Csr::default();
-    let mut scratch = Vec::new();
-    let mut labels = Vec::with_capacity(n);
-    let mut work = Vec::with_capacity(n);
-    for t in tasks {
-        scratch.clear();
-        scratch.extend(t.deps.iter().map(|&d| TaskId(d)));
-        dependencies.push_sorted_unique(&mut scratch);
-        labels.push(t.label);
-        work.push(Mutex::new(Some(t.work)));
-    }
-    Ok(ValidatedTasks {
-        pending: dependencies.row_lens().map(AtomicUsize::new).collect(),
-        dependents: dependencies.transpose(),
-        labels,
-        work,
-    })
-}
-
-/// A dependency graph compiled once for repeated execution.
+/// A dependency graph in the form both executors run.
 ///
-/// [`ThreadedExecutor::compile_graph`] prebuilds everything `run` would
-/// derive per call — the initial pending counts, the placement-resolved
-/// group of every task — and shares the graph's own dependents CSR, so
+/// [`ThreadedExecutor::compile_graph`] builds one from a [`TaskGraph`] once
+/// — the initial pending counts, the placement-resolved group of every
+/// task and the seed list — and shares the graph's own dependents CSR, so
 /// each [`ThreadedExecutor::run_compiled`] batch only instantiates fresh
 /// atomic counters and work closures. This is the batched submission path:
 /// for a graph executed many times (or a million-task graph where the
 /// build cost is material), the per-run submit work drops to two
-/// `memcpy`-shaped passes.
+/// `memcpy`-shaped passes. Plain [`ThreadedExecutor::run`] and
+/// [`SingleQueueExecutor::run`] lower their [`ThreadTask`]s into the same
+/// form first.
 #[derive(Debug, Clone)]
 pub struct CompiledGraph {
     pending_init: Vec<usize>,
@@ -472,12 +447,68 @@ pub struct CompiledGraph {
     labels: StrArena,
     task_group: Vec<Option<usize>>,
     group_names: Vec<String>,
-    /// Task indices with no dependencies, in submission order — the seed
-    /// loop skips the full pending scan.
+    /// Task indices with no dependencies, in submission order: the seed
+    /// list.
     initially_ready: Vec<usize>,
 }
 
 impl CompiledGraph {
+    fn new(
+        pending_init: Vec<usize>,
+        dependents: Arc<Csr<TaskId>>,
+        labels: StrArena,
+        task_group: Vec<Option<usize>>,
+        group_names: Vec<String>,
+    ) -> Self {
+        let initially_ready = (0..pending_init.len())
+            .filter(|&i| pending_init[i] == 0)
+            .collect();
+        CompiledGraph {
+            pending_init,
+            dependents,
+            labels,
+            task_group,
+            group_names,
+            initially_ready,
+        }
+    }
+
+    /// Lowers [`ThreadTask`]s under `placement`: checks every dependency
+    /// and group, then transposes the sorted, de-duplicated dependency rows
+    /// as [`TaskGraph`] does. Returns the work slots and the label strings
+    /// too; the report takes those over, as copying each label out of the
+    /// arena measured ~15% of a 15.6k-task fork-join `run`.
+    fn lower(
+        tasks: Vec<ThreadTask>,
+        placement: Option<&Placement>,
+    ) -> Result<(Self, Vec<WorkSlot>, Vec<String>), ThreadEngineError> {
+        let task_group = resolve_task_groups(placement, tasks.iter().map(|t| t.group.as_deref()))?;
+        let mut dependencies = Csr::default();
+        let mut arena = StrArena::default();
+        let mut labels = Vec::with_capacity(tasks.len());
+        let mut work = Vec::with_capacity(tasks.len());
+        let mut scratch = Vec::new();
+        for (i, t) in tasks.into_iter().enumerate() {
+            if let Some(&dep) = t.deps.iter().find(|&&d| d >= i) {
+                return Err(ThreadEngineError::ForwardDependency { task: i, dep });
+            }
+            scratch.clear();
+            scratch.extend(t.deps.iter().map(|&d| TaskId(d)));
+            dependencies.push_sorted_unique(&mut scratch);
+            arena.push_str(&t.label);
+            labels.push(t.label);
+            work.push(Mutex::new(Some(t.work)));
+        }
+        let graph = CompiledGraph::new(
+            dependencies.row_lens().collect(),
+            Arc::new(dependencies.transpose()),
+            arena,
+            task_group,
+            group_names(placement),
+        );
+        Ok((graph, work, labels))
+    }
+
     /// Number of tasks in the compiled graph.
     pub fn len(&self) -> usize {
         self.pending_init.len()
@@ -495,19 +526,37 @@ impl CompiledGraph {
     }
 }
 
-fn empty_report(wall: StdDuration, workers: usize, groups: Vec<String>) -> ExecReport {
-    ExecReport {
-        tasks: Vec::new(),
-        wall,
-        workers,
-        worker_stats: (0..workers)
-            .map(|w| WorkerStats {
-                worker: w,
-                ..WorkerStats::default()
-            })
-            .collect(),
-        groups,
-        trace: None,
+/// Group names under an optional placement (a single `"all"` pseudo-group
+/// when there is none).
+fn group_names(placement: Option<&Placement>) -> Vec<String> {
+    match placement {
+        None => vec!["all".to_string()],
+        Some(p) => p.groups.iter().map(|g| g.name.clone()).collect(),
+    }
+}
+
+/// Resolves each task's optional group name against the placement; without
+/// one, every task runs anywhere.
+fn resolve_task_groups<'g>(
+    placement: Option<&Placement>,
+    groups: impl Iterator<Item = Option<&'g str>>,
+) -> Result<Vec<Option<usize>>, ThreadEngineError> {
+    match placement {
+        None => Ok(groups.map(|_| None).collect()),
+        Some(p) => {
+            groups
+                .enumerate()
+                .map(|(i, g)| match g {
+                    None => Ok(None),
+                    Some(name) => p.group_index(name).map(Some).ok_or_else(|| {
+                        ThreadEngineError::UnknownGroup {
+                            task: i,
+                            group: name.to_string(),
+                        }
+                    }),
+                })
+                .collect()
+        }
     }
 }
 
@@ -546,6 +595,219 @@ fn lane_labels(workers: usize, placement: Option<&Placement>) -> Vec<LaneLabel> 
             lanes
         }
     }
+}
+
+/// Records phase `name` on the prelude lane around `f`.
+fn phase<T>(
+    prelude: &mut WorkerTracer,
+    clock: &TraceClock,
+    name: &str,
+    f: impl FnOnce(&mut WorkerTracer) -> T,
+) -> T {
+    prelude.record(clock, EventKind::PhaseStart { name: name.into() });
+    let out = f(prelude);
+    prelude.record(clock, EventKind::PhaseEnd { name: name.into() });
+    out
+}
+
+/// Starts a run: its one clock (every worker stamps events and measures
+/// durations against the same monotonic origin) and the prelude lane, with
+/// the `validate` phase (lowering or placement check, then instantiation)
+/// open.
+fn start_run(sink: &TraceSink) -> (TraceClock, WorkerTracer) {
+    let clock = TraceClock::new();
+    let mut prelude = sink.worker_tracer();
+    prelude.record(
+        &clock,
+        EventKind::PhaseStart {
+            name: "validate".into(),
+        },
+    );
+    (clock, prelude)
+}
+
+/// One run's state over a [`CompiledGraph`]: fresh pending counters and
+/// work slots plus the completion count every worker of either executor
+/// shares.
+struct RunState<'g> {
+    graph: &'g CompiledGraph,
+    clock: TraceClock,
+    /// Submit latency: run start to the end of instantiation.
+    submit_ns: u64,
+    pending: Vec<AtomicUsize>,
+    work: Vec<WorkSlot>,
+    completed: AtomicUsize,
+    /// Set by the first task body that panics: from then on no worker
+    /// claims another task.
+    abort: AtomicBool,
+    /// The first panicking task and its panic message.
+    panicked: Mutex<Option<(usize, String)>>,
+}
+
+impl RunState<'_> {
+    /// Whether a task has panicked.
+    fn aborted(&self) -> bool {
+        self.abort.load(Ordering::Relaxed)
+    }
+
+    /// Whether every task has completed or the run was aborted.
+    fn done(&self) -> bool {
+        self.aborted() || self.completed.load(Ordering::Acquire) >= self.graph.len()
+    }
+
+    /// Runs task `i`'s body, traced and timed on the run clock. A panic is
+    /// caught here, the one place a body runs: it aborts the run, and
+    /// `None` tells the caller to wake its sleeping workers and stop.
+    fn run_body(&self, i: usize, tracer: &mut WorkerTracer) -> Option<StdDuration> {
+        let job = self.work[i].lock().take().expect("task runs once");
+        let t0 = self.clock.now();
+        tracer.record_at(t0, EventKind::TaskStart { task: i as u32 });
+        let result = std::panic::catch_unwind(AssertUnwindSafe(job));
+        let t1 = self.clock.now();
+        tracer.record_at(t1, EventKind::TaskEnd { task: i as u32 });
+        if let Err(payload) = result {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_owned())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_owned());
+            self.panicked.lock().get_or_insert((i, message));
+            // Relaxed: the flag publishes no data (the panic record sits
+            // behind its own lock), and a worker that reads it late only
+            // claims one more task.
+            self.abort.store(true, Ordering::Relaxed);
+            return None;
+        }
+        Some(TraceClock::between(t0, t1))
+    }
+
+    /// Counts task `i` done: every dependent whose last dependency it was
+    /// is traced and handed to `ready`. Returns whether `i` was the run's
+    /// last task.
+    fn complete(&self, i: usize, tracer: &mut WorkerTracer, mut ready: impl FnMut(usize)) -> bool {
+        for &TaskId(dep) in self.graph.dependents.row(i) {
+            if self.pending[dep].fetch_sub(1, Ordering::AcqRel) == 1 {
+                tracer.record(&self.clock, EventKind::TaskReady { task: dep as u32 });
+                ready(dep);
+            }
+        }
+        self.completed.fetch_add(1, Ordering::AcqRel) + 1 == self.graph.len()
+    }
+}
+
+/// What an execution core hands back to [`execute`].
+struct CoreOutput {
+    /// `(task, worker, duration)` rows; empty when task stats are off.
+    records: Vec<(usize, usize, StdDuration)>,
+    worker_stats: Vec<WorkerStats>,
+    worker_traces: Vec<WorkerTrace>,
+}
+
+/// The run path both executors share: instantiates `graph` with fresh
+/// counters and the slots `work` builds, hands it to the executor's `core`
+/// (which seeds the ready tasks and drives the workers) and assembles the
+/// report, with each executed task's label from `label`.
+fn execute(
+    (clock, mut prelude): (TraceClock, WorkerTracer),
+    workers: usize,
+    placement: Option<&Placement>,
+    graph: &CompiledGraph,
+    work: impl FnOnce() -> Vec<WorkSlot>,
+    mut label: impl FnMut(usize) -> String,
+    core: impl FnOnce(&RunState<'_>, &mut WorkerTracer) -> CoreOutput,
+) -> Result<ExecReport, ThreadEngineError> {
+    let n = graph.len();
+    // PDL-labeled trace metadata, built only when events are kept.
+    let meta = prelude.enabled().then(|| TraceMeta {
+        platform: placement.and_then(|p| p.platform.clone()),
+        lanes: lane_labels(workers, placement),
+        tasks: (0..n)
+            .map(|i| TaskInfo {
+                label: graph.labels.get(i).to_owned(),
+                category: "task".to_string(),
+                group: graph.task_group[i].map(|g| graph.group_names[g].clone()),
+            })
+            .collect(),
+        time_unit: TimeUnit::RealNanos,
+    });
+    let pending: Vec<AtomicUsize> = graph
+        .pending_init
+        .iter()
+        .map(|&p| AtomicUsize::new(p))
+        .collect();
+    // The work slots are built after the counters: in the other order the
+    // allocator's reuse of freed blocks measured ~8 MB (1.3%) more peak
+    // RSS on the million-task fork-join.
+    let work = work();
+    prelude.record(
+        &clock,
+        EventKind::PhaseEnd {
+            name: "validate".into(),
+        },
+    );
+    let run = RunState {
+        graph,
+        clock,
+        submit_ns: clock.now(),
+        pending,
+        work,
+        completed: AtomicUsize::new(0),
+        abort: AtomicBool::new(false),
+        panicked: Mutex::new(None),
+    };
+    if n == 0 {
+        return Ok(ExecReport {
+            tasks: Vec::new(),
+            wall: StdDuration::from_nanos(clock.now()),
+            workers,
+            worker_stats: (0..workers)
+                .map(|w| WorkerStats {
+                    worker: w,
+                    ..WorkerStats::default()
+                })
+                .collect(),
+            groups: graph.group_names.clone(),
+            trace: None,
+        });
+    }
+
+    let out = core(&run, &mut prelude);
+    let wall = StdDuration::from_nanos(clock.now());
+    if let Some((task, message)) = run.panicked.into_inner() {
+        // The bodies that never ran are dropped with `run`.
+        return Err(ThreadEngineError::TaskPanicked {
+            task,
+            label: graph.labels.get(task).to_owned(),
+            message,
+        });
+    }
+    // Per-task stats are assembled outside the hot path: workers only
+    // recorded (task index, worker, duration).
+    let tasks = out
+        .records
+        .into_iter()
+        .map(|(task, worker, duration)| TaskStats {
+            label: label(task),
+            worker,
+            duration,
+        })
+        .collect();
+    let trace = meta.map(|meta| RunTrace {
+        meta,
+        prelude: prelude
+            .finish(workers)
+            .map(|wt| wt.events)
+            .unwrap_or_default(),
+        workers: out.worker_traces,
+    });
+    Ok(ExecReport {
+        tasks,
+        wall,
+        workers,
+        worker_stats: out.worker_stats,
+        groups: graph.group_names.clone(),
+        trace,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -679,104 +941,20 @@ impl ThreadedExecutor {
         self.placement.as_ref()
     }
 
-    /// Group names under the configured placement (a single `"all"`
-    /// pseudo-group when there is none).
-    fn group_names(&self) -> Vec<String> {
-        match &self.placement {
-            None => vec!["all".to_string()],
-            Some(p) => p.groups.iter().map(|g| g.name.clone()).collect(),
-        }
-    }
-
-    /// Resolves each task's optional group name against the placement.
-    fn resolve_task_groups<'g>(
-        &self,
-        groups: impl Iterator<Item = Option<&'g str>>,
-    ) -> Result<Vec<Option<usize>>, ThreadEngineError> {
-        match &self.placement {
-            None => Ok(groups.map(|_| None).collect()),
-            Some(p) => groups
-                .enumerate()
-                .map(|(i, g)| match g {
-                    None => Ok(None),
-                    Some(name) => p.group_index(name).map(Some).ok_or_else(|| {
-                        ThreadEngineError::UnknownGroup {
-                            task: i,
-                            group: name.to_string(),
-                        }
-                    }),
-                })
-                .collect(),
-        }
-    }
-
-    /// Executes all tasks, returning per-task and per-worker stats.
+    /// Executes all tasks, returning per-task and per-worker stats: lowers
+    /// them to a [`CompiledGraph`] and runs that.
     pub fn run(&self, tasks: Vec<ThreadTask>) -> Result<ExecReport, ThreadEngineError> {
-        let n = tasks.len();
-        // One clock for the whole run: every worker stamps events and
-        // measures durations against the same monotonic origin.
-        let clock = TraceClock::new();
-        let mut prelude = self.sink.worker_tracer();
-        prelude.record(
-            &clock,
-            EventKind::PhaseStart {
-                name: "validate".into(),
-            },
-        );
-
-        let group_names = self.group_names();
-
-        // Resolve every task's group name to a group index up front.
-        let task_group = self.resolve_task_groups(tasks.iter().map(|t| t.group.as_deref()))?;
-
-        // PDL-labeled trace metadata, built only when events are kept.
-        let meta = self.sink.enabled().then(|| TraceMeta {
-            platform: self.placement.as_ref().and_then(|p| p.platform.clone()),
-            lanes: lane_labels(self.workers, self.placement.as_ref()),
-            tasks: tasks
-                .iter()
-                .enumerate()
-                .map(|(i, t)| TaskInfo {
-                    label: t.label.clone(),
-                    category: "task".to_string(),
-                    group: task_group[i].map(|g| group_names[g].clone()),
-                })
-                .collect(),
-            time_unit: TimeUnit::RealNanos,
-        });
-
-        let mut v = build_runtime(tasks)?;
-        prelude.record(
-            &clock,
-            EventKind::PhaseEnd {
-                name: "validate".into(),
-            },
-        );
-        let submit_ns = clock.now();
-        if n == 0 {
-            return Ok(empty_report(
-                StdDuration::from_nanos(clock.now()),
-                self.workers,
-                group_names,
-            ));
-        }
-
-        let mut out = self.run_inner(clock, prelude, v.view(), &task_group, None, submit_ns);
-
-        // Assemble the per-task stats outside the hot path: workers only
-        // recorded (task index, duration); labels are moved (not cloned)
-        // out of the validated set here.
-        let tasks = out
-            .records
-            .drain(..)
-            .map(|(task, worker, duration)| TaskStats {
-                label: std::mem::take(&mut v.labels[task]),
-                worker,
-                duration,
-            })
-            .collect();
-
-        Ok(self.assemble_report(tasks, out, meta, group_names))
+        let start = start_run(&self.sink);
+        let (graph, work, mut labels) = CompiledGraph::lower(tasks, self.placement.as_ref())?;
+        execute(
+            start,
+            self.workers,
+            self.placement.as_ref(),
+            &graph,
+            || work,
+            |i| std::mem::take(&mut labels[i]),
+            |run, prelude| self.run_inner(run, prelude),
+        )
     }
 
     /// Compiles a [`TaskGraph`]'s structure for repeated execution with
@@ -786,20 +964,18 @@ impl ThreadedExecutor {
     /// subsequent run only instantiates fresh atomic counters and work
     /// closures.
     pub fn compile_graph(&self, graph: &TaskGraph) -> Result<CompiledGraph, ThreadEngineError> {
-        let task_group =
-            self.resolve_task_groups(graph.tasks.iter().map(|t| graph.execution_group(t.id)))?;
-        let pending_init: Vec<usize> = graph.dependency_counts().collect();
-        let initially_ready = (0..pending_init.len())
-            .filter(|&i| pending_init[i] == 0)
-            .collect();
-        Ok(CompiledGraph {
-            pending_init,
-            dependents: Arc::clone(graph.dependents_csr()),
-            labels: graph.labels().clone(),
+        let placement = self.placement.as_ref();
+        let task_group = resolve_task_groups(
+            placement,
+            graph.tasks.iter().map(|t| graph.execution_group(t.id)),
+        )?;
+        Ok(CompiledGraph::new(
+            graph.dependency_counts().collect(),
+            Arc::clone(graph.dependents_csr()),
+            graph.labels().clone(),
             task_group,
-            group_names: self.group_names(),
-            initially_ready,
-        })
+            group_names(placement),
+        ))
     }
 
     /// Executes a graph compiled by [`compile_graph`](Self::compile_graph);
@@ -813,93 +989,34 @@ impl ThreadedExecutor {
         graph: &CompiledGraph,
         mut work: impl FnMut(usize) -> Box<dyn FnOnce() + Send>,
     ) -> Result<ExecReport, ThreadEngineError> {
-        let clock = TraceClock::new();
-        let mut prelude = self.sink.worker_tracer();
-        prelude.record(
-            &clock,
-            EventKind::PhaseStart {
-                name: "validate".into(),
-            },
-        );
-        let group_names = self.group_names();
+        let start = start_run(&self.sink);
+        let group_names = group_names(self.placement.as_ref());
         if group_names != graph.group_names {
             return Err(ThreadEngineError::PlacementMismatch {
                 compiled: graph.group_names.clone(),
                 executor: group_names,
             });
         }
-        let n = graph.len();
-        let meta = self.sink.enabled().then(|| TraceMeta {
-            platform: self.placement.as_ref().and_then(|p| p.platform.clone()),
-            lanes: lane_labels(self.workers, self.placement.as_ref()),
-            tasks: (0..n)
-                .map(|i| TaskInfo {
-                    label: graph.labels.get(i).to_owned(),
-                    category: "task".to_string(),
-                    group: graph.task_group[i].map(|g| group_names[g].clone()),
-                })
-                .collect(),
-            time_unit: TimeUnit::RealNanos,
-        });
-        // Per-run instantiation: two linear passes over prebuilt data.
-        let pending: Vec<AtomicUsize> = graph
-            .pending_init
-            .iter()
-            .map(|&p| AtomicUsize::new(p))
-            .collect();
-        let slots: Vec<WorkSlot> = (0..n).map(|i| Mutex::new(Some(work(i)))).collect();
-        prelude.record(
-            &clock,
-            EventKind::PhaseEnd {
-                name: "validate".into(),
+        execute(
+            start,
+            self.workers,
+            self.placement.as_ref(),
+            graph,
+            || {
+                (0..graph.len())
+                    .map(|i| Mutex::new(Some(work(i))))
+                    .collect()
             },
-        );
-        let submit_ns = clock.now();
-        if n == 0 {
-            return Ok(empty_report(
-                StdDuration::from_nanos(clock.now()),
-                self.workers,
-                group_names,
-            ));
-        }
-        let view = RuntimeView {
-            pending: &pending,
-            dependents: &graph.dependents,
-            work: &slots,
-        };
-        let mut out = self.run_inner(
-            clock,
-            prelude,
-            view,
-            &graph.task_group,
-            Some(&graph.initially_ready),
-            submit_ns,
-        );
-        let tasks = out
-            .records
-            .drain(..)
-            .map(|(task, worker, duration)| TaskStats {
-                label: graph.labels.get(task).to_owned(),
-                worker,
-                duration,
-            })
-            .collect();
-        Ok(self.assemble_report(tasks, out, meta, group_names))
+            |i| graph.labels.get(i).to_owned(),
+            |run, prelude| self.run_inner(run, prelude),
+        )
     }
 
-    /// The execution core shared by [`run`](Self::run) and
-    /// [`run_compiled`](Self::run_compiled): seeds ready tasks, spawns the
-    /// scoped worker pool, joins it and collects raw per-worker output.
-    fn run_inner(
-        &self,
-        clock: TraceClock,
-        mut prelude: WorkerTracer,
-        rt: RuntimeView<'_>,
-        task_group: &[Option<usize>],
-        ready_hint: Option<&[usize]>,
-        submit_ns: u64,
-    ) -> RunOutput {
-        let n = rt.pending.len();
+    /// The work-stealing execution core: seeds the graph's ready list,
+    /// spawns the scoped worker pool, joins it and collects raw per-worker
+    /// output.
+    fn run_inner(&self, rt: &RunState<'_>, prelude: &mut WorkerTracer) -> CoreOutput {
+        let clock = rt.clock;
         // Worker → group map: contiguous ranges in group order.
         let worker_group: Vec<usize> = match &self.placement {
             None => vec![0; self.workers],
@@ -926,20 +1043,13 @@ impl ThreadedExecutor {
 
         // Seed initially-ready tasks round-robin across their group's
         // workers (or all workers when ungrouped), so there is no single
-        // contended entry queue even at t=0. A compiled graph supplies the
-        // ready list directly; otherwise scan the pending counters.
-        prelude.record(
-            &clock,
-            EventKind::PhaseStart {
-                name: "seed".into(),
-            },
-        );
+        // contended entry queue even at t=0.
         let mut rr = vec![0usize; group_count + 1];
         let mut seeded = vec![0usize; self.workers];
-        {
-            let mut seed = |i: usize| {
+        phase(prelude, &clock, "seed", |prelude| {
+            for &i in &rt.graph.initially_ready {
                 prelude.record(&clock, EventKind::TaskReady { task: i as u32 });
-                let w = match task_group[i] {
+                let w = match rt.graph.task_group[i] {
                     Some(g) => {
                         let targets = &group_workers[g];
                         let slot = rr[g];
@@ -953,126 +1063,59 @@ impl ThreadedExecutor {
                 };
                 locals[w].push(i);
                 seeded[w] += 1;
-            };
-            match ready_hint {
-                Some(ready) => ready.iter().for_each(|&i| seed(i)),
-                None => (0..n)
-                    .filter(|&i| rt.pending[i].load(Ordering::Relaxed) == 0)
-                    .for_each(&mut seed),
             }
-        }
-        prelude.record(
-            &clock,
-            EventKind::PhaseEnd {
-                name: "seed".into(),
-            },
-        );
+        });
 
-        let completed = AtomicUsize::new(0);
         let scanned: Vec<AtomicBool> = (0..self.workers).map(|_| AtomicBool::new(false)).collect();
         let park = std::sync::Mutex::new(());
         let wake = Condvar::new();
         let tel = self.telemetry.then(ExecutorTelemetry::handles);
         if let Some(t) = &tel {
-            t.submit_latency.observe(submit_ns);
+            t.submit_latency.observe(rt.submit_ns);
         }
 
         let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(self.workers);
         let mut records: Vec<(usize, usize, StdDuration)> =
-            Vec::with_capacity(if self.task_stats { n } else { 0 });
+            Vec::with_capacity(if self.task_stats { rt.graph.len() } else { 0 });
         let mut worker_traces: Vec<WorkerTrace> = Vec::new();
-        prelude.record(
-            &clock,
-            EventKind::PhaseStart {
-                name: "execute".into(),
-            },
-        );
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.workers);
-            for (me, local) in locals.into_iter().enumerate() {
-                let ctx = WorkerCtx {
-                    me,
-                    my_group: worker_group[me],
-                    local,
-                    stealers: &stealers,
-                    injectors: &injectors,
-                    group_workers: &group_workers,
-                    worker_group: &worker_group,
-                    task_group,
-                    v: rt,
-                    completed: &completed,
-                    scanned: &scanned,
-                    park: &park,
-                    wake: &wake,
-                    n,
-                    clock,
-                    tracer: self.sink.worker_tracer(),
-                    tel: tel.as_ref(),
-                    collect: self.task_stats,
-                    seeded: seeded[me],
-                };
-                handles.push(scope.spawn(move || ctx.run()));
-            }
-            for h in handles {
-                let (ws, recs, wt) = h.join().expect("worker panicked");
-                let worker = ws.worker;
-                worker_stats.push(ws);
-                records.extend(recs.into_iter().map(|(task, dt)| (task, worker, dt)));
-                worker_traces.extend(wt);
-            }
+        phase(prelude, &clock, "execute", |_| {
+            std::thread::scope(|scope| {
+                let mut handles = Vec::with_capacity(self.workers);
+                for (me, local) in locals.into_iter().enumerate() {
+                    let ctx = WorkerCtx {
+                        me,
+                        my_group: worker_group[me],
+                        local,
+                        stealers: &stealers,
+                        injectors: &injectors,
+                        group_workers: &group_workers,
+                        worker_group: &worker_group,
+                        rt,
+                        scanned: &scanned,
+                        park: &park,
+                        wake: &wake,
+                        tracer: self.sink.worker_tracer(),
+                        tel: tel.as_ref(),
+                        collect: self.task_stats,
+                        seeded: seeded[me],
+                    };
+                    handles.push(scope.spawn(move || ctx.run()));
+                }
+                for h in handles {
+                    let (ws, recs, wt) = h.join().expect("worker panicked");
+                    let worker = ws.worker;
+                    worker_stats.push(ws);
+                    records.extend(recs.into_iter().map(|(task, dt)| (task, worker, dt)));
+                    worker_traces.extend(wt);
+                }
+            });
         });
-        prelude.record(
-            &clock,
-            EventKind::PhaseEnd {
-                name: "execute".into(),
-            },
-        );
-        RunOutput {
+        CoreOutput {
             records,
             worker_stats,
             worker_traces,
-            prelude,
-            wall: StdDuration::from_nanos(clock.now()),
         }
     }
-
-    /// Final report assembly shared by both run paths.
-    fn assemble_report(
-        &self,
-        tasks: Vec<TaskStats>,
-        out: RunOutput,
-        meta: Option<TraceMeta>,
-        group_names: Vec<String>,
-    ) -> ExecReport {
-        let trace = meta.map(|meta| RunTrace {
-            meta,
-            prelude: out
-                .prelude
-                .finish(self.workers)
-                .map(|wt| wt.events)
-                .unwrap_or_default(),
-            workers: out.worker_traces,
-        });
-        ExecReport {
-            tasks,
-            wall: out.wall,
-            workers: self.workers,
-            worker_stats: out.worker_stats,
-            groups: group_names,
-            trace,
-        }
-    }
-}
-
-/// Raw output of [`ThreadedExecutor::run_inner`], before label resolution
-/// and trace assembly.
-struct RunOutput {
-    /// `(task, worker, duration)` rows; empty when task stats are off.
-    records: Vec<(usize, usize, StdDuration)>,
-    worker_stats: Vec<WorkerStats>,
-    worker_traces: Vec<WorkerTrace>,
-    prelude: WorkerTracer,
-    wall: StdDuration,
 }
 
 /// Everything one worker thread needs, borrowed from the run invocation.
@@ -1084,9 +1127,7 @@ struct WorkerCtx<'a> {
     injectors: &'a [Injector<usize>],
     group_workers: &'a [Vec<usize>],
     worker_group: &'a [usize],
-    task_group: &'a [Option<usize>],
-    v: RuntimeView<'a>,
-    completed: &'a AtomicUsize,
+    rt: &'a RunState<'a>,
     /// Per worker: whether it has made its first claim. Other groups do
     /// not steal from a worker's deque before that, so a task seeded to
     /// its group is not taken away merely because its owner's thread
@@ -1094,8 +1135,6 @@ struct WorkerCtx<'a> {
     scanned: &'a [AtomicBool],
     park: &'a std::sync::Mutex<()>,
     wake: &'a Condvar,
-    n: usize,
-    clock: TraceClock,
     tracer: WorkerTracer,
     tel: Option<&'a ExecutorTelemetry>,
     /// Whether to record per-task `(index, duration)` rows for
@@ -1165,7 +1204,7 @@ impl WorkerCtx<'_> {
         let mut parks = 0u64;
         let mut tracer = std::mem::replace(&mut self.tracer, WorkerTracer::Null);
         loop {
-            if self.completed.load(Ordering::Acquire) >= self.n {
+            if self.rt.done() {
                 break;
             }
             let claim = self.find_task();
@@ -1194,21 +1233,23 @@ impl WorkerCtx<'_> {
                     let mut current = task;
                     loop {
                         tracer.record(
-                            &self.clock,
+                            &self.rt.clock,
                             EventKind::TaskDequeued {
                                 task: current as u32,
                                 provenance,
                             },
                         );
-                        let (dt, next) = self.execute(current, &mut hot, &mut tracer);
+                        let Some((dt, next)) = self.execute(current, &mut hot, &mut tracer) else {
+                            break;
+                        };
                         out.busy += dt;
                         out.executed += 1;
                         match next {
-                            Some(nxt) => {
+                            Some(nxt) if !self.rt.aborted() => {
                                 current = nxt;
                                 provenance = Provenance::Local;
                             }
-                            None => break,
+                            _ => break,
                         }
                     }
                 }
@@ -1218,19 +1259,19 @@ impl WorkerCtx<'_> {
                         .park
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    if self.completed.load(Ordering::Acquire) >= self.n {
+                    if self.rt.done() {
                         break;
                     }
                     // Timed wait: a missed notification costs at most
                     // PARK_TIMEOUT, so no wake-up protocol bug can hang the
                     // pool.
-                    tracer.record(&self.clock, EventKind::Park);
+                    tracer.record(&self.rt.clock, EventKind::Park);
                     parks += 1;
                     let _ = self
                         .wake
                         .wait_timeout(guard, PARK_TIMEOUT)
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    tracer.record(&self.clock, EventKind::Unpark);
+                    tracer.record(&self.rt.clock, EventKind::Unpark);
                 }
             }
         }
@@ -1313,23 +1354,21 @@ impl WorkerCtx<'_> {
     /// Runs the task, records stats worker-locally, publishes newly-ready
     /// dependents. Returns the task's duration and, when one of the ready
     /// dependents belongs to this worker's group, that dependent as a
-    /// continuation to run directly — skipping the deque entirely.
+    /// continuation to run directly — skipping the deque entirely. `None`
+    /// when the task panicked.
     fn execute(
         &self,
         i: usize,
         hot: &mut HotState,
         tracer: &mut WorkerTracer,
-    ) -> (StdDuration, Option<usize>) {
-        let job = self.v.work[i].lock().take().expect("task runs once");
+    ) -> Option<(StdDuration, Option<usize>)> {
         // Both the stat duration and the trace span come from the run's
         // shared clock, so per-worker busy time and the exported spans are
         // the same numbers.
-        let t0 = self.clock.now();
-        tracer.record_at(t0, EventKind::TaskStart { task: i as u32 });
-        job();
-        let t1 = self.clock.now();
-        tracer.record_at(t1, EventKind::TaskEnd { task: i as u32 });
-        let dt = TraceClock::between(t0, t1);
+        let Some(dt) = self.rt.run_body(i, tracer) else {
+            self.wake.notify_all();
+            return None;
+        };
         if self.collect {
             hot.records.push((i, dt));
         } else if self.tel.is_some() {
@@ -1340,28 +1379,24 @@ impl WorkerCtx<'_> {
         // one notify covers all cross-group hand-offs.
         let mut next: Option<usize> = None;
         let mut woke_other_group = false;
-        for &TaskId(dep) in self.v.dependents(i) {
-            if self.v.pending[dep].fetch_sub(1, Ordering::AcqRel) == 1 {
-                tracer.record(&self.clock, EventKind::TaskReady { task: dep as u32 });
-                match self.task_group[dep] {
-                    Some(g) if g != self.my_group => {
-                        // Affinity routing: deliver to the task's group.
-                        self.injectors[g].push(dep);
-                        woke_other_group = true;
-                    }
-                    _ => {
-                        if next.is_none() {
-                            next = Some(dep);
-                        } else {
-                            self.local.push(dep);
-                            hot.depth += 1;
-                            hot.depth_peak = hot.depth_peak.max(hot.depth);
-                        }
+        let me_last = self.rt.complete(i, tracer, |dep| {
+            match self.rt.graph.task_group[dep] {
+                Some(g) if g != self.my_group => {
+                    // Affinity routing: deliver to the task's group.
+                    self.injectors[g].push(dep);
+                    woke_other_group = true;
+                }
+                _ => {
+                    if next.is_none() {
+                        next = Some(dep);
+                    } else {
+                        self.local.push(dep);
+                        hot.depth += 1;
+                        hot.depth_peak = hot.depth_peak.max(hot.depth);
                     }
                 }
             }
-        }
-        let me_last = self.completed.fetch_add(1, Ordering::AcqRel) + 1 == self.n;
+        });
         if me_last || woke_other_group {
             // Cross-group hand-offs are latency-sensitive (the target
             // group may be entirely asleep), so they get an eager wake.
@@ -1370,7 +1405,7 @@ impl WorkerCtx<'_> {
             // the sleepers re-scan within PARK_TIMEOUT anyway.
             self.wake.notify_all();
         }
-        (dt, next)
+        Some((dt, next))
     }
 }
 
@@ -1404,7 +1439,8 @@ fn steal_from(stealer: &Stealer<usize>) -> Option<usize> {
 /// The seed engine: a fixed-size pool where every ready task flows through
 /// one shared MPMC channel. Kept as the measured baseline for the
 /// work-stealing engine (`cargo bench --bench engine_scaling`); placement
-/// groups are ignored.
+/// groups are ignored. It lowers and reports exactly like
+/// [`ThreadedExecutor::run`]; only its channel worker loop is its own.
 #[derive(Debug, Clone)]
 pub struct SingleQueueExecutor {
     workers: usize,
@@ -1428,168 +1464,100 @@ impl SingleQueueExecutor {
 
     /// Executes all tasks, returning per-task stats.
     pub fn run(&self, tasks: Vec<ThreadTask>) -> Result<ExecReport, ThreadEngineError> {
-        let clock = TraceClock::new();
-        let mut prelude = self.sink.worker_tracer();
-        prelude.record(
-            &clock,
-            EventKind::PhaseStart {
-                name: "validate".into(),
-            },
-        );
-        let meta = self.sink.enabled().then(|| TraceMeta {
-            platform: None,
-            lanes: lane_labels(self.workers, None),
-            tasks: tasks
-                .iter()
-                .map(|t| TaskInfo {
-                    label: t.label.clone(),
-                    category: "task".to_string(),
-                    group: t.group.clone(),
-                })
-                .collect(),
-            time_unit: TimeUnit::RealNanos,
-        });
-        let v = build_runtime(tasks)?;
-        prelude.record(
-            &clock,
-            EventKind::PhaseEnd {
-                name: "validate".into(),
-            },
-        );
-        let n = v.labels.len();
-        if n == 0 {
-            return Ok(empty_report(
-                StdDuration::from_nanos(clock.now()),
-                self.workers,
-                vec!["all".to_string()],
-            ));
-        }
+        let start = start_run(&self.sink);
+        let (graph, work, mut labels) = CompiledGraph::lower(tasks, None)?;
+        execute(
+            start,
+            self.workers,
+            None,
+            &graph,
+            || work,
+            |i| std::mem::take(&mut labels[i]),
+            |run, prelude| self.channel_loop(run, prelude),
+        )
+    }
 
+    /// The single-queue execution core.
+    fn channel_loop(&self, rt: &RunState<'_>, prelude: &mut WorkerTracer) -> CoreOutput {
         // Queue protocol: task indices flow through the channel; SHUTDOWN
         // sentinels release blocked workers once all tasks completed (the
         // channel can never close on its own, since every blocked worker
         // holds a sender clone).
         const SHUTDOWN: usize = usize::MAX;
+        let clock = rt.clock;
         let (tx, rx) = channel::unbounded::<usize>();
-        prelude.record(
-            &clock,
-            EventKind::PhaseStart {
-                name: "seed".into(),
-            },
-        );
-        for (i, p) in v.pending.iter().enumerate() {
-            if p.load(Ordering::Relaxed) == 0 {
+        phase(prelude, &clock, "seed", |prelude| {
+            for &i in &rt.graph.initially_ready {
                 prelude.record(&clock, EventKind::TaskReady { task: i as u32 });
                 tx.send(i).expect("queue open");
             }
-        }
-        prelude.record(
-            &clock,
-            EventKind::PhaseEnd {
-                name: "seed".into(),
-            },
-        );
+        });
 
-        let completed = AtomicUsize::new(0);
-        let stats: Mutex<Vec<TaskStats>> = Mutex::new(Vec::with_capacity(n));
+        let records = Mutex::new(Vec::with_capacity(rt.graph.len()));
         let mut worker_stats: Vec<WorkerStats> = Vec::with_capacity(self.workers);
         let mut worker_traces: Vec<WorkerTrace> = Vec::new();
-
-        prelude.record(
-            &clock,
-            EventKind::PhaseStart {
-                name: "execute".into(),
-            },
-        );
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.workers);
-            for worker in 0..self.workers {
-                let rx = rx.clone();
-                let tx = tx.clone();
-                let v = &v;
-                let completed = &completed;
-                let stats = &stats;
-                let workers_total = self.workers;
-                let mut tracer = self.sink.worker_tracer();
-                handles.push(scope.spawn(move || {
-                    let mut out = WorkerStats {
-                        worker,
-                        ..WorkerStats::default()
-                    };
-                    while let Ok(i) = rx.recv() {
-                        if i == SHUTDOWN {
-                            break;
-                        }
-                        tracer.record(
-                            &clock,
-                            EventKind::TaskDequeued {
-                                task: i as u32,
-                                provenance: Provenance::Queue,
-                            },
-                        );
-                        let job = v.work[i].lock().take().expect("task runs once");
-                        let t0 = clock.now();
-                        tracer.record_at(t0, EventKind::TaskStart { task: i as u32 });
-                        job();
-                        let t1 = clock.now();
-                        tracer.record_at(t1, EventKind::TaskEnd { task: i as u32 });
-                        let dt = TraceClock::between(t0, t1);
-                        out.executed += 1;
-                        out.busy += dt;
-                        stats.lock().push(TaskStats {
-                            label: v.labels[i].clone(),
+        phase(prelude, &clock, "execute", |_| {
+            std::thread::scope(|scope| {
+                let mut handles = Vec::with_capacity(self.workers);
+                for worker in 0..self.workers {
+                    let rx = rx.clone();
+                    let tx = tx.clone();
+                    let records = &records;
+                    let mut tracer = self.sink.worker_tracer();
+                    handles.push(scope.spawn(move || {
+                        let mut out = WorkerStats {
                             worker,
-                            duration: dt,
-                        });
-                        for &TaskId(dep) in v.dependents.row(i) {
-                            if v.pending[dep].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                tracer.record(&clock, EventKind::TaskReady { task: dep as u32 });
-                                let _ = tx.send(dep);
+                            ..WorkerStats::default()
+                        };
+                        while let Ok(i) = rx.recv() {
+                            if i == SHUTDOWN || rt.aborted() {
+                                break;
+                            }
+                            tracer.record(
+                                &clock,
+                                EventKind::TaskDequeued {
+                                    task: i as u32,
+                                    provenance: Provenance::Queue,
+                                },
+                            );
+                            let finished = match rt.run_body(i, &mut tracer) {
+                                Some(dt) => {
+                                    out.executed += 1;
+                                    out.busy += dt;
+                                    records.lock().push((i, worker, dt));
+                                    rt.complete(i, &mut tracer, |dep| {
+                                        let _ = tx.send(dep);
+                                    })
+                                }
+                                // A panic aborts the run.
+                                None => true,
+                            };
+                            if finished {
+                                // All done or aborted: wake every worker
+                                // (including self on the next recv) with
+                                // shutdown sentinels.
+                                for _ in 0..self.workers {
+                                    let _ = tx.send(SHUTDOWN);
+                                }
                             }
                         }
-                        if completed.fetch_add(1, Ordering::AcqRel) + 1 == n {
-                            // All done: wake every worker (including self on
-                            // the next recv) with shutdown sentinels.
-                            for _ in 0..workers_total {
-                                let _ = tx.send(SHUTDOWN);
-                            }
-                        }
-                    }
-                    (out, tracer.finish(worker))
-                }));
-            }
-            drop(tx);
-            drop(rx);
-            for h in handles {
-                let (ws, wt) = h.join().expect("worker panicked");
-                worker_stats.push(ws);
-                worker_traces.extend(wt);
-            }
+                        (out, tracer.finish(worker))
+                    }));
+                }
+                drop(tx);
+                drop(rx);
+                for h in handles {
+                    let (ws, wt) = h.join().expect("worker panicked");
+                    worker_stats.push(ws);
+                    worker_traces.extend(wt);
+                }
+            });
         });
-        prelude.record(
-            &clock,
-            EventKind::PhaseEnd {
-                name: "execute".into(),
-            },
-        );
-
-        let trace = meta.map(|meta| RunTrace {
-            meta,
-            prelude: prelude
-                .finish(self.workers)
-                .map(|wt| wt.events)
-                .unwrap_or_default(),
-            workers: worker_traces,
-        });
-
-        Ok(ExecReport {
-            tasks: stats.into_inner(),
-            wall: StdDuration::from_nanos(clock.now()),
-            workers: self.workers,
+        CoreOutput {
+            records: records.into_inner(),
             worker_stats,
-            groups: vec!["all".to_string()],
-            trace,
-        })
+            worker_traces,
+        }
     }
 }
 
@@ -1942,6 +1910,72 @@ mod tests {
         assert_eq!(tasks[1].deps, vec![0]);
         ThreadedExecutor::new(2).run(tasks).unwrap();
         assert_eq!(*log.lock(), vec!["w".to_string(), "r".to_string()]);
+    }
+
+    /// Waits at most 10 s for `run`'s result on a spawned thread, so a run
+    /// that hangs fails the test instead of blocking it.
+    fn within_10s<T: Send + 'static>(run: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let _ = tx.send(run());
+        });
+        let result = rx
+            .recv_timeout(StdDuration::from_secs(10))
+            .expect("the run returns within 10 s");
+        runner.join().expect("the runner thread exits cleanly");
+        result
+    }
+
+    #[test]
+    fn panicking_task_fails_the_run_without_hanging() {
+        for single_queue in [false, true] {
+            let dependent_ran = Arc::new(AtomicBool::new(false));
+            let ran = Arc::clone(&dependent_ran);
+            let tasks = vec![
+                ThreadTask::new("boom", || panic!("injected failure")),
+                ThreadTask::new("dependent", move || ran.store(true, Ordering::SeqCst)).after([0]),
+                ThreadTask::new("independent", || {}),
+            ];
+            let result = within_10s(move || {
+                if single_queue {
+                    SingleQueueExecutor::new(2).run(tasks)
+                } else {
+                    ThreadedExecutor::new(2).run(tasks)
+                }
+            });
+            assert_eq!(
+                result.unwrap_err(),
+                ThreadEngineError::TaskPanicked {
+                    task: 0,
+                    label: "boom".into(),
+                    message: "injected failure".into(),
+                }
+            );
+            assert!(!dependent_ran.load(Ordering::SeqCst));
+        }
+    }
+
+    #[test]
+    fn panicking_compiled_task_fails_the_run() {
+        let result = within_10s(|| {
+            let pool = ThreadedExecutor::new(2);
+            let compiled = pool.compile_graph(&diamond_graph()).unwrap();
+            pool.run_compiled(&compiled, |i| {
+                Box::new(move || {
+                    if i == 1 {
+                        panic!("task {i} failed");
+                    }
+                })
+            })
+        });
+        assert_eq!(
+            result.unwrap_err(),
+            ThreadEngineError::TaskPanicked {
+                task: 1,
+                label: "l".into(),
+                message: "task 1 failed".into(),
+            }
+        );
     }
 
     /// A chain-heavy diamond graph for the compiled-path tests.

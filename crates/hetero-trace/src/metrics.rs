@@ -5,9 +5,9 @@ use crate::trace::RunTrace;
 use std::collections::BTreeMap;
 
 /// A fixed-bucket histogram (cumulative-free, bucket upper bounds are
-/// inclusive). The default bounds are powers of four in nanoseconds from
-/// 256 ns to ~4.4 s — coarse but allocation-free and mergeable, which is
-/// all latency attribution needs.
+/// inclusive). The default bounds are the telemetry histograms' powers of
+/// two in nanoseconds from 16 ns to ~18 min — allocation-free and
+/// mergeable, which is all latency attribution needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     bounds: Vec<u64>,
@@ -35,11 +35,10 @@ impl Histogram {
         }
     }
 
-    /// The default duration histogram: powers of 4 ns, 256 ns .. ~4.4 s.
+    /// The default duration histogram: powers of 2 ns, 16 ns .. ~18 min,
+    /// the bounds [`crate::telemetry::AtomicHistogram`] snapshots use.
     pub fn duration_ns() -> Self {
-        // 4^4 .. 4^16: 256ns, 1µs, 4µs, 16µs, 65µs, 262µs, 1ms, 4.2ms,
-        // 16.8ms, 67ms, 268ms, 1.07s, 4.29s.
-        Self::with_bounds((4..=16).map(|e| 4u64.pow(e)).collect())
+        Self::with_bounds(crate::telemetry::duration_bounds())
     }
 
     /// Records one observation.
@@ -421,7 +420,9 @@ mod tests {
     fn default_histogram_spans_ns_to_seconds() {
         let h = Histogram::duration_ns();
         let bounds: Vec<u64> = h.buckets().map(|(le, _)| le).collect();
-        assert_eq!(bounds[0], 256);
+        let scraped = crate::telemetry::AtomicHistogram::new().snapshot();
+        let scraped: Vec<u64> = scraped.buckets().map(|(le, _)| le).collect();
+        assert_eq!(bounds, scraped);
         assert!(bounds[bounds.len() - 2] > 4_000_000_000);
     }
 

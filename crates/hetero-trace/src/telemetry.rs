@@ -134,6 +134,14 @@ const HIST_MAX_EXP: u32 = 40;
 /// Bounded buckets (one per exponent in `HIST_MIN_EXP..=HIST_MAX_EXP`).
 const HIST_BUCKETS: usize = (HIST_MAX_EXP - HIST_MIN_EXP + 1) as usize;
 
+/// The one duration bucket scheme: inclusive upper bounds 2⁴ … 2⁴⁰ ns,
+/// shared by [`AtomicHistogram::snapshot`] and [`Histogram::duration_ns`]
+/// so a latency lands in the same bucket in a scrape and in a
+/// trace-derived registry.
+pub(crate) fn duration_bounds() -> Vec<u64> {
+    (HIST_MIN_EXP..=HIST_MAX_EXP).map(|e| 1u64 << e).collect()
+}
+
 /// One histogram shard: per-bucket counts plus count/sum/min/max, padded
 /// as a block (the arrays inside share lines, but different shards do
 /// not). min/max live **per shard** so `observe` never touches a cache
@@ -217,7 +225,7 @@ impl AtomicHistogram {
     /// Merges the shards into a plain [`Histogram`] (shared bucket math,
     /// quantiles, JSON export).
     pub fn snapshot(&self) -> Histogram {
-        let bounds: Vec<u64> = (HIST_MIN_EXP..=HIST_MAX_EXP).map(|e| 1u64 << e).collect();
+        let bounds = duration_bounds();
         let mut counts = vec![0u64; HIST_BUCKETS + 1];
         let mut count = 0u64;
         let mut sum = 0u64;

@@ -13,6 +13,7 @@
 //!   with `WorkerStats::busy` (both sides read the same clock).
 
 use hetero_rt::prelude::*;
+use hetero_rt::thread_engine::SingleQueueExecutor;
 use proptest::prelude::*;
 
 /// Dependency mask decoding shared with `tests/work_stealing.rs`: task `i`

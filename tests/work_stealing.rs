@@ -4,6 +4,8 @@
 //!   order, twice);
 //! * random DAGs (proptest) always complete, run every task exactly once
 //!   and never violate a dependency, at any worker count;
+//! * a panicking task makes either engine return `TaskPanicked` promptly
+//!   instead of hanging, and none of its transitive dependents runs;
 //! * steal and placement counters add up: every task is accounted to
 //!   exactly one worker, and tasks pinned to a group whose workers did not
 //!   ready them must arrive by stealing;
@@ -12,7 +14,7 @@
 //!   placement for graph execution via `from_graph`.
 
 use hetero_rt::prelude::*;
-use hetero_rt::thread_engine::ThreadEngineError;
+use hetero_rt::thread_engine::{SingleQueueExecutor, ThreadEngineError};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -240,5 +242,60 @@ proptest! {
         prop_assert_eq!(sq.tasks.len(), masks.len());
         prop_assert_eq!(ws_log.lock().len(), sq_log.lock().len());
         prop_assert_eq!(sq.total_steals(), 0); // the baseline has no steal concept
+    }
+
+    #[test]
+    fn injected_panic_fails_fast_and_spares_its_dependents(
+        masks in proptest::collection::vec(any::<u64>(), 1..48),
+        pick in any::<u64>(),
+        workers in 1usize..5,
+        single_queue in any::<bool>(),
+    ) {
+        let n = masks.len();
+        let boom = (pick % n as u64) as usize;
+        // Dependencies point backwards, so one forward pass marks every
+        // transitive dependent of the panicking task.
+        let mut tainted = vec![false; n];
+        tainted[boom] = true;
+        for i in boom + 1..n {
+            tainted[i] = masked_deps(&masks, i).iter().any(|&d| tainted[d]);
+        }
+        let ran: Arc<Mutex<Vec<usize>>> = Arc::new(Mutex::new(Vec::new()));
+        let tasks: Vec<ThreadTask> = (0..n)
+            .map(|i| {
+                let ran = ran.clone();
+                ThreadTask::new(format!("t{i}"), move || {
+                    if i == boom {
+                        panic!("injected panic in task {i}");
+                    }
+                    ran.lock().push(i);
+                })
+                .after(masked_deps(&masks, i))
+            })
+            .collect();
+        // Run on a spawned thread so a hang fails the case within 10 s.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let result = if single_queue {
+                SingleQueueExecutor::new(workers).run(tasks)
+            } else {
+                ThreadedExecutor::new(workers).run(tasks)
+            };
+            let _ = tx.send(result);
+        });
+        let result = rx.recv_timeout(std::time::Duration::from_secs(10));
+        prop_assert!(result.is_ok(), "the run did not return within 10 s");
+        prop_assert!(runner.join().is_ok(), "the runner thread exits cleanly");
+        prop_assert_eq!(
+            result.unwrap().unwrap_err(),
+            ThreadEngineError::TaskPanicked {
+                task: boom,
+                label: format!("t{boom}"),
+                message: format!("injected panic in task {boom}"),
+            }
+        );
+        for &i in ran.lock().iter() {
+            prop_assert!(!tainted[i], "task {} ran although it depends on panicked task {}", i, boom);
+        }
     }
 }
